@@ -39,9 +39,6 @@ __all__ = [
     "bipoly_subst_x",
     "bipoly_shift_s",
     "series_mul",
-    "series_add",
-    "series_sub",
-    "series_scale",
     "series_truncate",
     "series_invert",
     "series_pow",
@@ -359,21 +356,6 @@ def series_truncate(a: PowerSeries, order: int) -> PowerSeries:
     if order > a.order:
         raise ValueError(f"cannot extend order {a.order} series to order {order}")
     return PowerSeries(a.coeffs[: order + 1])
-
-
-def series_add(a: PowerSeries, b: PowerSeries) -> PowerSeries:
-    order = min(a.order, b.order)
-    return PowerSeries(tuple(a.coeffs[k] + b.coeffs[k] for k in range(order + 1)))
-
-
-def series_sub(a: PowerSeries, b: PowerSeries) -> PowerSeries:
-    order = min(a.order, b.order)
-    return PowerSeries(tuple(a.coeffs[k] - b.coeffs[k] for k in range(order + 1)))
-
-
-def series_scale(a: PowerSeries, c: RationalLike) -> PowerSeries:
-    c = Fraction(c)
-    return PowerSeries(tuple(c * x for x in a.coeffs))
 
 
 def series_mul(a: PowerSeries, b: PowerSeries) -> PowerSeries:

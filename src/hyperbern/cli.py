@@ -28,12 +28,11 @@ import click
 from . import __version__
 from .algebra import bipoly_subst_s, format_rational, parse_rational
 from .core import a_poly, hb_higher_polys_series, hb_numbers
-from .identities import ALL_SUITES, FAIL, SuiteConfig, run_suite
+from .identities import ALL_SUITES, FAIL, REPORT_PARAMS, SuiteConfig, run_suite
 
 SCHEMA_VERSION = 1
 
-_VERIFY_PARAM_COLUMNS = ("N", "r", "n", "n_max", "order")
-_VERIFY_COLUMNS = ("identity",) + _VERIFY_PARAM_COLUMNS + (
+_VERIFY_COLUMNS = ("identity",) + REPORT_PARAMS + (
     "status",
     "cells_checked",
     "details",
@@ -120,7 +119,7 @@ def render_csv(record: OutputRecord, with_meta: bool = True) -> str:
         writer.writerow(_VERIFY_COLUMNS)
         for row in record.payload:
             out = [row["identity"]]
-            for key in _VERIFY_PARAM_COLUMNS:
+            for key in REPORT_PARAMS:
                 v = row["params"].get(key)
                 out.append("" if v is None else v)
             out.append(row["status"])
@@ -168,7 +167,7 @@ def parse_csv(text: str, kind: str, subst_s: bool = False) -> list:
         for r in rows:
             cells = dict(zip(header, r))
             params = {
-                key: int(cells[key]) for key in _VERIFY_PARAM_COLUMNS if cells.get(key)
+                key: int(cells[key]) for key in REPORT_PARAMS if cells.get(key)
             }
             payload.append(
                 {
@@ -358,8 +357,8 @@ def _parse_fault(_ctx, _param, value):
     type=click.Choice(ALL_SUITES),
     help="Suite(s) to run; repeatable. Default: all suites.",
 )
-@click.option("--N-max", "N_max", type=int, default=None, callback=_nonnegative)
-@click.option("--r-max", "r_max", type=int, default=None, callback=_nonnegative)
+@click.option("--N-max", "N_max", type=int, default=None, callback=_positive)
+@click.option("--r-max", "r_max", type=int, default=None, callback=_positive)
 @click.option("--n-max", "n_max", type=int, default=None, callback=_nonnegative)
 @click.option(
     "--mode",

@@ -15,8 +15,10 @@ as skipped cells (never as passes).
 from __future__ import annotations
 
 import hashlib
+import itertools
 import math
 import random
+from collections.abc import Callable
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -49,7 +51,10 @@ from .core import (
 __all__ = [
     "VerifyReport",
     "SuiteConfig",
+    "Suite",
+    "SUITES",
     "ALL_SUITES",
+    "REPORT_PARAMS",
     "check_kamano",
     "check_sums_of_products",
     "check_two_three_sums",
@@ -94,44 +99,6 @@ class VerifyReport:
 # ---------------------------------------------------------------------------
 
 
-def _inv_factorials(n: int) -> list[Fraction]:
-    out = [Fraction(1)]
-    for k in range(1, n + 1):
-        out.append(out[-1] / k)
-    return out
-
-
-def _conv_trunc(a: list[Fraction], b: list[Fraction], n: int) -> list[Fraction]:
-    out = []
-    for k in range(n + 1):
-        lo = max(0, k - len(b) + 1)
-        acc = Fraction(0)
-        for i in range(lo, min(k, len(a) - 1) + 1):
-            acc += a[i] * b[k - i]
-        out.append(acc)
-    return out
-
-
-def _dot_rev(a: list[Fraction], b: list[Fraction], n: int) -> Fraction:
-    return sum((a[i] * b[n - i] for i in range(n + 1)), Fraction(0))
-
-
-def _multinomial_sum(vectors: list[list[Fraction]], n: int) -> Fraction:
-    """n! times the n-th coefficient of the product of the given vectors.
-
-    Each vector holds values v[i] already divided by i!, so this equals the
-    multinomial-weighted sum over all compositions i_1+...+i_r = n of the
-    products v_1[i_1]...v_r[i_r] (the Cauchy product regroups exactly that
-    sum; the test suite pins this against brute-force enumeration).
-    """
-    if len(vectors) == 1:
-        return math.factorial(n) * vectors[0][n]
-    conv = vectors[0]
-    for v in vectors[1:-1]:
-        conv = _conv_trunc(conv, v, n)
-    return math.factorial(n) * _dot_rev(conv, vectors[-1], n)
-
-
 class _MultinomialEvaluator:
     """Integer-scaled evaluation of the multinomial convolution of polynomial
     values at rational points.
@@ -140,8 +107,7 @@ class _MultinomialEvaluator:
     integer u_i over the common scale M = D * n! * b^n (D clears every
     coefficient denominator), so the convolutions in the hot path run on
     plain integers; the exact rational reappears in one division at the end.
-    The result is identical to :func:`_multinomial_sum` term by term, which
-    the tests assert.
+    The tests pin the result against brute-force composition enumeration.
     """
 
     def __init__(self, polys, n: int):
@@ -239,14 +205,15 @@ def perturbed_numbers(N: int, k: int, n_top: int) -> HBNumberTable:
 def check_kamano(N: int, r: int, n: int) -> VerifyReport:
     """Number sums-of-products: the multinomial convolution of r level-N
     number sequences against its closed form with x-free coefficient
-    polynomials.  Requires n >= r-1."""
+    polynomials, after Kamano, "Sums of products of hypergeometric Bernoulli
+    numbers" (J. Number Theory 130, 2010).  Requires n >= r-1."""
     if n < r - 1:
         raise ValueError(f"identity requires n >= r-1 (got n={n}, r={r})")
     params = {"N": N, "r": r, "n": n}
     values = hb_numbers(N, n).values
-    inv_fact = _inv_factorials(n)
-    vec = [values[i] * inv_fact[i] for i in range(n + 1)]
-    lhs = _multinomial_sum([vec] * r, n)
+    # the numbers as constant polynomials, so the convolution runs on integers
+    evaluator = _MultinomialEvaluator([UniPoly((v,)) for v in values], n)
+    lhs = evaluator.combine([evaluator.vector(Fraction(0))] * r)
 
     s_val = _sub_s_value(N, r, n)
     entries = a_poly_at_zero(N, r).entries
@@ -315,9 +282,15 @@ def check_sums_of_products(
     evaluator = _MultinomialEvaluator(polys1, n)
     fact_n = evaluator.fact_n
 
+    # the collapsed side and the closed form depend on the point only through
+    # its sum; the direct side is still compared at every point
+    side_cache: dict = {}
+
     def mismatch(point, lhs_direct, x_sum) -> dict | None:
-        lhs_collapsed = poly_eval(higher, x_sum)
-        rhs = rhs_at(x_sum)
+        if x_sum not in side_cache:
+            xf = Fraction(x_sum)
+            side_cache[x_sum] = (poly_eval(higher, xf), rhs_at(xf))
+        lhs_collapsed, rhs = side_cache[x_sum]
         if lhs_direct == lhs_collapsed == rhs:
             return None
         return {
@@ -333,24 +306,6 @@ def check_sums_of_products(
         details = {"mode": "grid"}
         vecs = [evaluator.vector(Fraction(g)) for g in range(n + 1)]
         scale = vecs[0][1]  # common to all integer points
-        # the collapsed side and the closed form depend on the point only
-        # through its sum; the direct side is still compared at every point
-        side_cache: dict[int, tuple[Fraction, Fraction]] = {}
-
-        def grid_mismatch(point, lhs_direct, x_sum: int) -> dict | None:
-            if x_sum not in side_cache:
-                xf = Fraction(x_sum)
-                side_cache[x_sum] = (poly_eval(higher, xf), rhs_at(xf))
-            lhs_collapsed, rhs = side_cache[x_sum]
-            if lhs_direct == lhs_collapsed == rhs:
-                return None
-            return {
-                "x_points": [format_rational(p) for p in point],
-                "x_sum": format_rational(Fraction(x_sum)),
-                "lhs_direct": format_rational(lhs_direct),
-                "lhs_collapsed": format_rational(lhs_collapsed),
-                "rhs": format_rational(rhs),
-            }
 
         # iterate {0..n}^r with prefix convolutions shared along the odometer
         point: list[int] = [0] * r
@@ -364,7 +319,7 @@ def check_sums_of_products(
                         fact_n * _int_dot_rev(conv, vecs[g][0], n), scale ** r
                     )
                     checked += 1
-                    bad = grid_mismatch(tuple(map(Fraction, point)), lhs, x_sum + g)
+                    bad = mismatch(point, lhs, x_sum + g)
                     if bad is not None:
                         return bad
                 return None
@@ -380,7 +335,7 @@ def check_sums_of_products(
             point[0] = g
             if r == 1:
                 checked += 1
-                counter = grid_mismatch((Fraction(g),), evaluator.combine([vecs[g]]), g)
+                counter = mismatch((g,), evaluator.combine([vecs[g]]), g)
             else:
                 counter = walk(1, vecs[g][0], g)
             if counter is not None:
@@ -676,16 +631,63 @@ def check_appell_basics(N: int, r: int, n_max: int) -> VerifyReport:
 # suite driver
 # ---------------------------------------------------------------------------
 
-ALL_SUITES = (
-    "kamano",
-    "sums",
-    "two-three",
-    "ode",
-    "recurrence",
-    "genfun-ode",
-    "logderiv",
-    "appell",
+@dataclass(frozen=True)
+class Suite:
+    """One row of the suite registry: how a suite's cells are laid out,
+    defaulted, skipped and run.
+
+    ``params`` names the check's positional arguments in report order, the
+    index last: ``n`` ranges over 0..top with one cell per index, while
+    ``n_max`` and ``order`` size a whole table or series, one cell per (N, r).
+    ``desk`` holds the default tops of (N, r, index), r being None for suites
+    without an order.  A cell failing ``requires`` is reported as skipped with
+    ``skip_reason``.
+    """
+
+    name: str
+    check: str  # name of the module-level check function
+    params: tuple[str, ...]
+    desk: tuple[int, int | None, int]
+    requires: Callable[..., bool] | None = None
+    skip_reason: str | None = None
+    injectable: bool = False  # the check takes an injected ``numbers`` table
+    sampled: bool = False  # the check takes mode, sample_count and seed
+    desk_cells: tuple[tuple[int, ...], ...] | None = None  # replaces the desk grid
+
+
+# the sums desk set is the union of two grids: orders up to 3 at small n, and
+# order 4 further out
+_SUMS_DESK_CELLS = tuple(
+    [(N, r, n) for N in range(1, 4) for r in range(1, 4) for n in range(11)]
+    + [(N, 4, n) for N in range(1, 5) for n in range(17)]
 )
+
+SUITES = {
+    suite.name: suite
+    for suite in (
+        Suite("kamano", "check_kamano", ("N", "r", "n"), (4, 4, 24),
+              lambda N, r, n: n >= r - 1, "requires n >= r-1"),
+        Suite("sums", "check_sums_of_products", ("N", "r", "n"), (4, 4, 16),
+              lambda N, r, n: n >= r - 1, "requires n >= r-1",
+              sampled=True, desk_cells=_SUMS_DESK_CELLS),
+        Suite("two-three", "check_two_three_sums", ("N", "n"), (4, None, 20),
+              lambda N, n: n >= 1, "requires n >= 1"),
+        Suite("ode", "check_ode", ("N", "r", "n"), (4, 3, 15),
+              lambda N, r, n: n >= 1, "requires n >= 1", injectable=True),
+        Suite("recurrence", "check_recurrence_paths", ("N", "r", "n_max"), (4, 4, 30),
+              injectable=True),
+        Suite("genfun-ode", "check_genfun_ode", ("N", "order"), (5, None, 30),
+              lambda N, order: order >= 2, "requires order >= 2"),
+        Suite("logderiv", "check_logderiv", ("N", "r", "order"), (4, 3, 30),
+              lambda N, r, order: order >= 1, "requires order >= 1"),
+        Suite("appell", "check_appell_basics", ("N", "r", "n_max"), (5, 3, 20)),
+    )
+}
+
+ALL_SUITES = tuple(SUITES)
+
+# every parameter a report can carry, in column order
+REPORT_PARAMS = tuple(dict.fromkeys(p for suite in SUITES.values() for p in suite.params))
 
 
 @dataclass(frozen=True)
@@ -715,159 +717,47 @@ class SuiteConfig:
             raise ValueError(f"unknown suites: {sorted(unknown)}")
         if self.mode not in ("auto", "grid", "sample"):
             raise ValueError(f"unknown mode {self.mode!r}")
-        for name in ("N_max", "r_max", "n_max"):
+        # level 0 and order 0 are out of domain: a range over them checks nothing
+        for name, low in (("N_max", 1), ("r_max", 1), ("n_max", 0)):
             v = getattr(self, name)
-            if v is not None and v < 0:
-                raise ValueError(f"{name} must be nonnegative")
+            if v is not None and v < low:
+                raise ValueError(f"{name} must be >= {low}")
         if self.sample_count < 1:
             raise ValueError("sample_count must be positive")
 
 
-def _skip(name: str, params: dict, reason: str) -> VerifyReport:
-    return VerifyReport(name, params, SKIPPED, 0, details={"reason": reason})
+def _cells(suite: Suite, cfg: SuiteConfig):
+    """The suite's cells under the config, as param tuples in report order."""
+    overrides = (cfg.N_max, cfg.r_max, cfg.n_max)
+    if suite.desk_cells is not None and overrides == (None, None, None):
+        return suite.desk_cells
+    N_top, r_top, top = (d if o is None else o for o, d in zip(overrides, suite.desk))
+
+    def axis(param: str):
+        if param == "N":
+            return range(1, N_top + 1)
+        if param == "r":
+            return range(1, r_top + 1)
+        return range(top + 1) if param == "n" else (top,)
+
+    return itertools.product(*map(axis, suite.params))
 
 
-def _fault_table(cfg: SuiteConfig, N: int, n_top: int) -> HBNumberTable | None:
-    if cfg.fault is None or cfg.fault[0] != N:
-        return None
-    return perturbed_numbers(N, cfg.fault[1], n_top)
-
-
-def _run_kamano(cfg: SuiteConfig) -> list[VerifyReport]:
-    n_hi = cfg.n_max if cfg.n_max is not None else 24
-    out = []
-    for N in range(1, (cfg.N_max if cfg.N_max is not None else 4) + 1):
-        for r in range(1, (cfg.r_max if cfg.r_max is not None else 4) + 1):
-            for n in range(n_hi + 1):
-                if n < r - 1:
-                    out.append(_skip("kamano", {"N": N, "r": r, "n": n}, "requires n >= r-1"))
-                else:
-                    out.append(check_kamano(N, r, n))
-    return out
-
-
-def _run_sums(cfg: SuiteConfig) -> list[VerifyReport]:
-    if cfg.N_max is None and cfg.r_max is None and cfg.n_max is None:
-        cells = [
-            (N, r, n)
-            for N in range(1, 4)
-            for r in range(1, 4)
-            for n in range(11)
-        ] + [(N, 4, n) for N in range(1, 5) for n in range(17)]
-    else:
-        cells = [
-            (N, r, n)
-            for N in range(1, (cfg.N_max if cfg.N_max is not None else 4) + 1)
-            for r in range(1, (cfg.r_max if cfg.r_max is not None else 4) + 1)
-            for n in range((cfg.n_max if cfg.n_max is not None else 16) + 1)
-        ]
-    out = []
-    for N, r, n in sorted(set(cells)):
-        if n < r - 1:
-            out.append(_skip("sums", {"N": N, "r": r, "n": n}, "requires n >= r-1"))
-            continue
-        if cfg.mode == "auto":
-            mode = "grid" if (n + 1) ** r <= GRID_POINT_LIMIT else "sample"
-        else:
-            mode = cfg.mode
-        out.append(
-            check_sums_of_products(
-                N, r, n, mode=mode, sample_count=cfg.sample_count, seed=cfg.seed
-            )
-        )
-    return out
-
-
-def _run_two_three(cfg: SuiteConfig) -> list[VerifyReport]:
-    n_hi = cfg.n_max if cfg.n_max is not None else 20
-    out = []
-    for N in range(1, (cfg.N_max if cfg.N_max is not None else 4) + 1):
-        for n in range(n_hi + 1):
-            if n < 1:
-                out.append(_skip("two-three", {"N": N, "n": n}, "requires n >= 1"))
-            else:
-                out.append(check_two_three_sums(N, n))
-    return out
-
-
-def _run_ode(cfg: SuiteConfig) -> list[VerifyReport]:
-    n_hi = cfg.n_max if cfg.n_max is not None else 15
-    out = []
-    for N in range(1, (cfg.N_max if cfg.N_max is not None else 4) + 1):
-        injected = _fault_table(cfg, N, n_hi)
-        for r in range(1, (cfg.r_max if cfg.r_max is not None else 3) + 1):
-            for n in range(n_hi + 1):
-                if n < 1:
-                    out.append(_skip("ode", {"N": N, "r": r, "n": n}, "requires n >= 1"))
-                else:
-                    out.append(check_ode(N, r, n, numbers=injected))
-    return out
-
-
-def _run_recurrence(cfg: SuiteConfig) -> list[VerifyReport]:
-    n_max = cfg.n_max if cfg.n_max is not None else 30
-    out = []
-    for N in range(1, (cfg.N_max if cfg.N_max is not None else 4) + 1):
-        injected = _fault_table(cfg, N, n_max + 1)
-        for r in range(1, (cfg.r_max if cfg.r_max is not None else 4) + 1):
-            out.append(check_recurrence_paths(N, r, n_max, numbers=injected))
-    return out
-
-
-def _run_genfun(cfg: SuiteConfig) -> list[VerifyReport]:
-    order = cfg.n_max if cfg.n_max is not None else 30
-    out = []
-    for N in range(1, (cfg.N_max if cfg.N_max is not None else 5) + 1):
-        if order < 2:
-            out.append(_skip("genfun-ode", {"N": N, "order": order}, "requires order >= 2"))
-        else:
-            out.append(check_genfun_ode(N, order))
-    return out
-
-
-def _run_logderiv(cfg: SuiteConfig) -> list[VerifyReport]:
-    order = cfg.n_max if cfg.n_max is not None else 30
-    out = []
-    for N in range(1, (cfg.N_max if cfg.N_max is not None else 4) + 1):
-        for r in range(1, (cfg.r_max if cfg.r_max is not None else 3) + 1):
-            if order < 1:
-                out.append(
-                    _skip("logderiv", {"N": N, "r": r, "order": order}, "requires order >= 1")
-                )
-            else:
-                out.append(check_logderiv(N, r, order))
-    return out
-
-
-def _run_appell(cfg: SuiteConfig) -> list[VerifyReport]:
-    n_max = cfg.n_max if cfg.n_max is not None else 20
-    out = []
-    for N in range(1, (cfg.N_max if cfg.N_max is not None else 5) + 1):
-        for r in range(1, (cfg.r_max if cfg.r_max is not None else 3) + 1):
-            out.append(check_appell_basics(N, r, n_max))
-    return out
-
-
-_SUITE_RUNNERS = {
-    "kamano": _run_kamano,
-    "sums": _run_sums,
-    "two-three": _run_two_three,
-    "ode": _run_ode,
-    "recurrence": _run_recurrence,
-    "genfun-ode": _run_genfun,
-    "logderiv": _run_logderiv,
-    "appell": _run_appell,
-}
-
-
-def _report_key(rep: VerifyReport):
-    p = rep.params
-    return (
-        rep.identity_name,
-        p.get("N", 0),
-        p.get("r", 0),
-        p.get("n", p.get("n_max", p.get("order", 0))),
-    )
+def _check_cell(suite: Suite, params: dict, cfg: SuiteConfig) -> VerifyReport:
+    """Run one cell; :func:`run_suite` and :func:`replay` both come through here."""
+    args = [params[p] for p in suite.params]
+    if suite.requires is not None and not suite.requires(*args):
+        return VerifyReport(suite.name, params, SKIPPED, 0, details={"reason": suite.skip_reason})
+    kwargs: dict = {}
+    if suite.injectable and cfg.fault is not None and cfg.fault[0] == params["N"]:
+        kwargs["numbers"] = perturbed_numbers(params["N"], cfg.fault[1], args[-1])
+    if suite.sampled:
+        mode = cfg.mode
+        if mode == "auto":
+            mode = "grid" if (params["n"] + 1) ** params["r"] <= GRID_POINT_LIMIT else "sample"
+        kwargs.update(mode=mode, sample_count=cfg.sample_count, seed=cfg.seed)
+    # by module-global name at call time, so a rebound attribute (a tracer's wrapper) runs
+    return globals()[suite.check](*args, **kwargs)
 
 
 def run_suite(config: SuiteConfig = SuiteConfig()) -> list[VerifyReport]:
@@ -876,11 +766,13 @@ def run_suite(config: SuiteConfig = SuiteConfig()) -> list[VerifyReport]:
     Cells whose preconditions fail are reported as skipped, never as passed.
     Reports come back sorted by (suite, N, r, index).
     """
-    reports: list[VerifyReport] = []
-    for suite in config.suites:
-        reports.extend(_SUITE_RUNNERS[suite](config))
-    reports.sort(key=_report_key)
-    return reports
+    jobs = sorted(
+        (name, cell) for name in config.suites for cell in _cells(SUITES[name], config)
+    )
+    return [
+        _check_cell(SUITES[name], dict(zip(SUITES[name].params, cell)), config)
+        for name, cell in jobs
+    ]
 
 
 def replay(report: VerifyReport, fault: tuple[int, int] | None = None) -> bool:
@@ -890,38 +782,11 @@ def replay(report: VerifyReport, fault: tuple[int, int] | None = None) -> bool:
     is reseeded from the recorded seed).  ``fault`` must be supplied if the
     original run injected one.
     """
-    p = report.params
-    name = report.identity_name
-    if name == "kamano":
-        fresh = check_kamano(p["N"], p["r"], p["n"])
-    elif name == "sums":
-        d = report.details or {}
-        fresh = check_sums_of_products(
-            p["N"],
-            p["r"],
-            p["n"],
-            mode=d.get("mode", "grid"),
-            sample_count=d.get("sample_count", 64),
-            seed=d.get("seed", 42),
-        )
-    elif name == "two-three":
-        fresh = check_two_three_sums(p["N"], p["n"])
-    elif name == "ode":
-        numbers = None
-        if fault is not None and fault[0] == p["N"]:
-            numbers = perturbed_numbers(p["N"], fault[1], p["n"])
-        fresh = check_ode(p["N"], p["r"], p["n"], numbers=numbers)
-    elif name == "recurrence":
-        numbers = None
-        if fault is not None and fault[0] == p["N"]:
-            numbers = perturbed_numbers(p["N"], fault[1], p["n_max"] + 1)
-        fresh = check_recurrence_paths(p["N"], p["r"], p["n_max"], numbers=numbers)
-    elif name == "genfun-ode":
-        fresh = check_genfun_ode(p["N"], p["order"])
-    elif name == "logderiv":
-        fresh = check_logderiv(p["N"], p["r"], p["order"])
-    elif name == "appell":
-        fresh = check_appell_basics(p["N"], p["r"], p["n_max"])
-    else:
-        raise ValueError(f"cannot replay unknown identity {name!r}")
+    suite = SUITES.get(report.identity_name)
+    if suite is None:
+        raise ValueError(f"cannot replay unknown identity {report.identity_name!r}")
+    # a sums report records the sampling that made it in its details
+    d = report.details or {}
+    sampling = {key: d[key] for key in ("mode", "sample_count", "seed") if key in d}
+    fresh = _check_cell(suite, report.params, SuiteConfig(fault=fault, **sampling))
     return fresh.status == report.status and fresh.counterexample == report.counterexample

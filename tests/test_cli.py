@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import pytest
@@ -149,6 +150,12 @@ def test_verify_rejects_malformed_fault(runner):
     assert res.exit_code == 2
 
 
+def test_verify_rejects_level_and_order_zero(runner):
+    # level 0 and order 0 are out of domain: a run over them would check nothing
+    assert invoke(runner, "verify", "--N-max", "0").exit_code == 2
+    assert invoke(runner, "verify", "--suite", "kamano", "--r-max", "0").exit_code == 2
+
+
 def test_verify_csv_and_json_same_content(runner):
     args = ["verify", "--suite", "kamano", "--N-max", "2", "--r-max", "2", "--n-max", "5", "--no-meta"]
     as_json = invoke(runner, *args, "--format", "json")
@@ -156,6 +163,42 @@ def test_verify_csv_and_json_same_content(runner):
     payload_json = parse_json(as_json.output).payload
     payload_csv = parse_csv(as_csv.output, "verify")
     assert payload_csv == payload_json
+
+
+# sha256 of `verify --no-meta` output for fixed command lines: restructuring the
+# suite driver must leave every byte of these reports, and the exit code, as is.
+@pytest.mark.parametrize(
+    "args,exit_code,digest",
+    [
+        (
+            ("--N-max", "2", "--r-max", "3", "--n-max", "5"),
+            0,
+            "2a0ca548a733e1db26f304c6724210255be3ed806b8976a29125a4c9320b7147",
+        ),
+        (
+            ("--N-max", "2", "--r-max", "3", "--n-max", "5", "--format", "csv"),
+            0,
+            "649e095a156d3d0595e348959b48a1921e01174b531756299735216a2b09bec0",
+        ),
+        (
+            ("--suite", "sums", "--mode", "sample", "--N-max", "2", "--r-max", "4",
+             "--n-max", "6", "--sample-count", "8", "--seed", "7"),
+            0,
+            "afdd1571d37d2fa05a78eb09f762b599fd05f046273eb6e9459f6a7c83cb614d",
+        ),
+        (
+            ("--suite", "ode", "--suite", "recurrence", "--N-max", "2", "--r-max", "2",
+             "--n-max", "8", "--inject-fault", "1,3"),
+            1,
+            "11b36ac4c691c7c14de513579a429c880fb3bed89e300ce916060ff4bed14e3a",
+        ),
+    ],
+    ids=["all-suites-json", "all-suites-csv", "sums-sample", "ode-recurrence-fault"],
+)
+def test_verify_output_is_pinned(runner, args, exit_code, digest):
+    res = invoke(runner, "verify", "--no-meta", *args)
+    assert res.exit_code == exit_code
+    assert hashlib.sha256(res.output.encode("utf-8")).hexdigest() == digest
 
 
 # --- determinism and round trips ---------------------------------------------------

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from hyperbern.algebra import poly_eval
+from hyperbern.algebra import UniPoly, poly_eval
 from hyperbern.core import hb_numbers, hb_polys
 from hyperbern.identities import (
     ALL_SUITES,
@@ -14,7 +14,6 @@ from hyperbern.identities import (
     SKIPPED,
     SuiteConfig,
     _MultinomialEvaluator,
-    _multinomial_sum,
     _sums_rhs_fn,
     check_appell_basics,
     check_genfun_ode,
@@ -36,32 +35,13 @@ rationals = st.fractions(min_value=-20, max_value=20, max_denominator=12)
 # --- the multinomial kernel against brute force ------------------------------
 
 
-@given(
-    st.integers(min_value=0, max_value=6),
-    st.integers(min_value=1, max_value=3),
-    st.data(),
-)
-def test_multinomial_sum_matches_enumeration(n, parts, data):
-    vectors = [
-        data.draw(st.lists(rationals, min_size=n + 1, max_size=n + 1))
-        for _ in range(parts)
-    ]
-    scaled = [
-        [v / math.factorial(i) for i, v in enumerate(vec)] for vec in vectors
-    ]
-    assert _multinomial_sum(scaled, n) == multinomial_sum_bruteforce(vectors, n)
-
-
 @given(st.integers(min_value=0, max_value=7), st.lists(rationals, min_size=1, max_size=3))
 def test_integer_evaluator_matches_fraction_path(n, points):
     polys = hb_polys(2, n).polys
     ev = _MultinomialEvaluator(polys, n)
     lhs = ev.combine([ev.vector(x) for x in points])
-    plain = [
-        [poly_eval(p, x) / math.factorial(i) for i, p in enumerate(polys)]
-        for x in points
-    ]
-    assert lhs == _multinomial_sum(plain, n)
+    plain = [[poly_eval(p, x) for p in polys] for x in points]
+    assert lhs == multinomial_sum_bruteforce(plain, n)
 
 
 # --- number identity ----------------------------------------------------------
@@ -101,10 +81,9 @@ def test_kamano_against_bruteforce_range(level, order):
         assert rep.status == PASS
         values = hb_numbers(level, n).values
         direct = multinomial_sum_bruteforce([list(values)] * order, n)
-        scaled = [
-            [v / math.factorial(i) for i, v in enumerate(values)]
-        ] * order
-        assert direct == _multinomial_sum(scaled, n)
+        # the integer path check_kamano takes: the numbers as constant polynomials at x = 0
+        ev = _MultinomialEvaluator([UniPoly((v,)) for v in values], n)
+        assert ev.combine([ev.vector(Fraction(0))] * order) == direct
 
 
 # --- polynomial identity --------------------------------------------------------
@@ -289,7 +268,11 @@ def test_suite_empty_selection():
 
 
 def test_suite_empty_level_range():
-    assert run_suite(SuiteConfig(N_max=0)) == []
+    # level 0 and order 0 are out of domain, so such a range is rejected
+    with pytest.raises(ValueError):
+        SuiteConfig(N_max=0)
+    with pytest.raises(ValueError):
+        SuiteConfig(r_max=0)
 
 
 def test_suite_rejects_unknown():
