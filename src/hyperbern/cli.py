@@ -28,7 +28,7 @@ import click
 from . import __version__
 from .algebra import bipoly_subst_s, format_rational, parse_rational
 from .core import a_poly, hb_higher_polys_series, hb_numbers
-from .identities import ALL_SUITES, FAIL, REPORT_PARAMS, SuiteConfig, run_suite
+from .identities import ALL_SUITES, FAIL, REPORT_PARAMS, SuiteConfig, UnreadFault, run_suite
 
 SCHEMA_VERSION = 1
 
@@ -388,7 +388,10 @@ def verify(suites, N_max, r_max, n_max, mode, seed, sample_count, inject_fault, 
         sample_count=sample_count,
         fault=inject_fault,
     )
-    reports = run_suite(config)
+    try:
+        reports = run_suite(config)
+    except UnreadFault as exc:
+        raise click.UsageError(str(exc))
     params = {
         "suites": list(config.suites),
         "N_max": N_max,

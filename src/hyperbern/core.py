@@ -45,9 +45,6 @@ __all__ = [
     "mult_operator_apply",
 ]
 
-_X = UniPoly((0, 1))
-
-
 @dataclass(frozen=True)
 class HBNumberTable:
     """Numbers B[N,n] for n = 0..len(values)-1 at level N."""

@@ -14,6 +14,7 @@ as skipped cells (never as passes).
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import itertools
 import math
@@ -23,6 +24,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .algebra import (
+    PowerSeries,
     UniPoly,
     bipoly_subst_s,
     format_rational,
@@ -64,6 +66,7 @@ __all__ = [
     "check_logderiv",
     "check_appell_basics",
     "run_suite",
+    "UnreadFault",
     "replay",
     "perturbed_numbers",
 ]
@@ -154,6 +157,43 @@ class _MultinomialEvaluator:
         u, m = scaled_vectors[-1]
         m_total *= m
         return Fraction(self.fact_n * _int_dot_rev(conv, u, n), m_total)
+
+    @functools.cached_property
+    def _integer_vectors(self) -> list[list[int]]:
+        return [self.vector(Fraction(g))[0] for g in range(self.n + 1)]
+
+    def grid(self, fold: int, ascending: bool = False):
+        """Yield (point, multinomial sum at the point) over the integer grid
+        {0..n}^fold in lexicographic order; with ``ascending`` only the
+        non-decreasing points.
+
+        Every point extending a prefix shares that prefix's convolution: the
+        stack holds the convolution of each leading run of coordinates, the
+        empty run being the unit, and is rebuilt only from the first
+        coordinate that changed.
+        """
+        n = self.n
+        vecs = self._integer_vectors
+        # x = g/1, so every integer point has the same scale
+        scale = (self.denom_clear * self.fact_n) ** fold
+        if ascending:
+            prefixes = itertools.combinations_with_replacement(range(n + 1), fold - 1)
+        else:
+            prefixes = itertools.product(range(n + 1), repeat=fold - 1)
+        stack = [[1] + [0] * n]
+        prev: tuple[int, ...] = ()
+        for prefix in prefixes:
+            k = 0
+            while k < len(prev) and prefix[k] == prev[k]:
+                k += 1
+            del stack[k + 1 :]
+            for g in prefix[k:]:
+                # the unit convolved with a vector is that vector
+                stack.append(vecs[g] if len(stack) == 1 else _int_conv_trunc(stack[-1], vecs[g], n))
+            prev = prefix
+            conv = stack[-1]
+            for g in range(prefix[-1] if ascending and prefix else 0, n + 1):
+                yield prefix + (g,), Fraction(self.fact_n * _int_dot_rev(conv, vecs[g], n), scale)
 
 
 def _int_conv_trunc(a: list[int], b: list[int], n: int) -> list[int]:
@@ -280,66 +320,10 @@ def check_sums_of_products(
     higher = hb_higher_polys_series(N, r, n).polys[n]
     rhs_at = _sums_rhs_fn(N, r, n, polys1)
     evaluator = _MultinomialEvaluator(polys1, n)
-    fact_n = evaluator.fact_n
 
-    # the collapsed side and the closed form depend on the point only through
-    # its sum; the direct side is still compared at every point
-    side_cache: dict = {}
-
-    def mismatch(point, lhs_direct, x_sum) -> dict | None:
-        if x_sum not in side_cache:
-            xf = Fraction(x_sum)
-            side_cache[x_sum] = (poly_eval(higher, xf), rhs_at(xf))
-        lhs_collapsed, rhs = side_cache[x_sum]
-        if lhs_direct == lhs_collapsed == rhs:
-            return None
-        return {
-            "x_points": [format_rational(p) for p in point],
-            "x_sum": format_rational(x_sum),
-            "lhs_direct": format_rational(lhs_direct),
-            "lhs_collapsed": format_rational(lhs_collapsed),
-            "rhs": format_rational(rhs),
-        }
-
-    checked = 0
     if mode == "grid":
         details = {"mode": "grid"}
-        vecs = [evaluator.vector(Fraction(g)) for g in range(n + 1)]
-        scale = vecs[0][1]  # common to all integer points
-
-        # iterate {0..n}^r with prefix convolutions shared along the odometer
-        point: list[int] = [0] * r
-
-        def walk(depth: int, conv: list[int], x_sum: int):
-            nonlocal checked
-            if depth == r - 1:
-                for g in range(n + 1):
-                    point[depth] = g
-                    lhs = Fraction(
-                        fact_n * _int_dot_rev(conv, vecs[g][0], n), scale ** r
-                    )
-                    checked += 1
-                    bad = mismatch(point, lhs, x_sum + g)
-                    if bad is not None:
-                        return bad
-                return None
-            for g in range(n + 1):
-                point[depth] = g
-                bad = walk(depth + 1, _int_conv_trunc(conv, vecs[g][0], n), x_sum + g)
-                if bad is not None:
-                    return bad
-            return None
-
-        counter = None
-        for g in range(n + 1):
-            point[0] = g
-            if r == 1:
-                checked += 1
-                counter = mismatch((g,), evaluator.combine([vecs[g]]), g)
-            else:
-                counter = walk(1, vecs[g][0], g)
-            if counter is not None:
-                break
+        lhs_at_points = evaluator.grid(r)
     else:
         rng = _cell_rng(seed, "sums", N, r, n)
         points = [
@@ -351,13 +335,31 @@ def check_sums_of_products(
             "sample_count": sample_count,
             "points": [[format_rational(c) for c in pt] for pt in points],
         }
-        counter = None
-        for pt in points:
-            lhs = evaluator.combine([evaluator.vector(c) for c in pt])
-            checked += 1
-            counter = mismatch(pt, lhs, sum(pt, Fraction(0)))
-            if counter is not None:
-                break
+        lhs_at_points = (
+            (pt, evaluator.combine([evaluator.vector(c) for c in pt])) for pt in points
+        )
+
+    # the collapsed side and the closed form depend on the point only through
+    # its sum; the direct side is still compared at every point
+    side_cache: dict = {}
+    checked = 0
+    counter = None
+    for point, lhs_direct in lhs_at_points:
+        checked += 1
+        x_sum = sum(point)
+        if x_sum not in side_cache:
+            xf = Fraction(x_sum)
+            side_cache[x_sum] = (poly_eval(higher, xf), rhs_at(xf))
+        lhs_collapsed, rhs = side_cache[x_sum]
+        if not lhs_direct == lhs_collapsed == rhs:
+            counter = {
+                "x_points": [format_rational(p) for p in point],
+                "x_sum": format_rational(x_sum),
+                "lhs_direct": format_rational(lhs_direct),
+                "lhs_collapsed": format_rational(lhs_collapsed),
+                "rhs": format_rational(rhs),
+            }
+            break
 
     status = PASS if counter is None else FAIL
     return VerifyReport("sums", params, status, checked, counterexample=counter, details=details)
@@ -382,9 +384,6 @@ def check_two_three_sums(N: int, n: int) -> VerifyReport:
     params = {"N": N, "n": n}
     polys1 = hb_polys(N, n).polys
     evaluator = _MultinomialEvaluator(polys1, n)
-    fact_n = evaluator.fact_n
-    vecs = [evaluator.vector(Fraction(g))[0] for g in range(n + 1)]
-    scale = evaluator.denom_clear * fact_n  # integer grid points share this
 
     b_n, b_n1 = polys1[n], polys1[n - 1]
     b_n2 = polys1[n - 2] if n >= 2 else None
@@ -405,45 +404,24 @@ def check_two_three_sums(N: int, n: int) -> VerifyReport:
         acc += n * (n - 1) * (x - 1) * (x - 2) * poly_eval(b_n2, x)
         return acc / (2 * N * N)
 
-    rhs2_at = [rhs_two(Fraction(x)) for x in range(2 * n + 1)]
-    rhs3_at = [rhs_three(Fraction(x)) for x in range(3 * n + 1)] if n >= 2 else []
-
     checked = 0
     counter = None
-    for g1 in range(n + 1):
-        for g2 in range(g1, n + 1):
-            lhs = Fraction(fact_n * _int_dot_rev(vecs[g1], vecs[g2], n), scale**2)
+    closed_forms = {2: rhs_two, 3: rhs_three} if n >= 2 else {2: rhs_two}
+    for fold, closed_form in closed_forms.items():
+        rhs_at = [closed_form(Fraction(x)) for x in range(fold * n + 1)]
+        for point, lhs in evaluator.grid(fold, ascending=True):
             checked += 1
-            if lhs != rhs2_at[g1 + g2]:
+            rhs = rhs_at[sum(point)]
+            if lhs != rhs:
                 counter = {
-                    "fold": 2,
-                    "x_points": [str(g1), str(g2)],
+                    "fold": fold,
+                    "x_points": [str(g) for g in point],
                     "lhs": format_rational(lhs),
-                    "rhs": format_rational(rhs2_at[g1 + g2]),
+                    "rhs": format_rational(rhs),
                 }
                 break
-        if counter:
+        if counter is not None:
             break
-
-    if counter is None and n >= 2:
-        for g1 in range(n + 1):
-            for g2 in range(g1, n + 1):
-                conv12 = _int_conv_trunc(vecs[g1], vecs[g2], n)
-                for g3 in range(g2, n + 1):
-                    lhs = Fraction(fact_n * _int_dot_rev(conv12, vecs[g3], n), scale**3)
-                    checked += 1
-                    if lhs != rhs3_at[g1 + g2 + g3]:
-                        counter = {
-                            "fold": 3,
-                            "x_points": [str(g1), str(g2), str(g3)],
-                            "lhs": format_rational(lhs),
-                            "rhs": format_rational(rhs3_at[g1 + g2 + g3]),
-                        }
-                        break
-                if counter:
-                    break
-            if counter:
-                break
 
     status = PASS if counter is None else FAIL
     return VerifyReport("two-three", params, status, checked, counterexample=counter)
@@ -549,10 +527,7 @@ def check_logderiv(N: int, r: int, order: int) -> VerifyReport:
     a = series_pow(f, r)
     a_prime = [k * a.coeffs[k] for k in range(1, order + 2)]  # exact through t^order
     a_inv = series_invert(series_truncate(a, order))
-    lhs = [
-        sum((a_prime[i] * a_inv.coeffs[k - i] for i in range(k + 1)), Fraction(0))
-        for k in range(order + 1)
-    ]
+    lhs = series_mul(PowerSeries(tuple(a_prime)), a_inv).coeffs
 
     values = hb_numbers(N, order + 1).values
     rhs = [Fraction(-r, N + 1)]
@@ -636,9 +611,10 @@ class Suite:
     """One row of the suite registry: how a suite's cells are laid out,
     defaulted, skipped and run.
 
-    ``params`` names the check's positional arguments in report order, the
-    index last: ``n`` ranges over 0..top with one cell per index, while
-    ``n_max`` and ``order`` size a whole table or series, one cell per (N, r).
+    ``params`` names the check's positional arguments in report order, ``N``
+    first and the index last: ``n`` ranges over 0..top with one cell per
+    index, while ``n_max`` and ``order`` size a whole table or series, one
+    cell per (N, r).
     ``desk`` holds the default tops of (N, r, index), r being None for suites
     without an order.  A cell failing ``requires`` is reported as skipped with
     ``skip_reason``.
@@ -712,6 +688,8 @@ class SuiteConfig:
     fault: tuple[int, int] | None = None
 
     def __post_init__(self) -> None:
+        # a suite named twice runs once
+        object.__setattr__(self, "suites", tuple(dict.fromkeys(self.suites)))
         unknown = set(self.suites) - set(ALL_SUITES)
         if unknown:
             raise ValueError(f"unknown suites: {sorted(unknown)}")
@@ -760,15 +738,28 @@ def _check_cell(suite: Suite, params: dict, cfg: SuiteConfig) -> VerifyReport:
     return globals()[suite.check](*args, **kwargs)
 
 
+class UnreadFault(ValueError):
+    """The run has no cell that reads the number its fault perturbs."""
+
+
 def run_suite(config: SuiteConfig = SuiteConfig()) -> list[VerifyReport]:
     """Run the selected suites over their ranges; deterministic given the seed.
 
     Cells whose preconditions fail are reported as skipped, never as passed.
-    Reports come back sorted by (suite, N, r, index).
+    Reports come back sorted by (suite, N, r, index).  A fault B[N,k] is read
+    only by injectable cells at level N with index >= k; a run without such a
+    cell raises :class:`UnreadFault`, as it would pass whether or not the
+    fault trips.
     """
     jobs = sorted(
         (name, cell) for name in config.suites for cell in _cells(SUITES[name], config)
     )
+    if config.fault is not None:
+        level, k = config.fault
+        if not any(
+            SUITES[name].injectable and cell[0] == level and cell[-1] >= k for name, cell in jobs
+        ):
+            raise UnreadFault(f"no cell of the run reads the faulted number B[{level},{k}]")
     return [
         _check_cell(SUITES[name], dict(zip(SUITES[name].params, cell)), config)
         for name, cell in jobs

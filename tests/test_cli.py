@@ -150,6 +150,29 @@ def test_verify_rejects_malformed_fault(runner):
     assert res.exit_code == 2
 
 
+@pytest.mark.parametrize(
+    "args",
+    [
+        ("--suite", "ode", "--N-max", "1", "--n-max", "3", "--inject-fault", "3,2"),
+        ("--suite", "kamano", "--inject-fault", "1,2"),
+        ("--suite", "ode", "--N-max", "1", "--r-max", "1", "--n-max", "3", "--inject-fault", "1,9"),
+    ],
+    ids=["level-outside-run", "no-injectable-suite", "index-past-every-cell"],
+)
+def test_verify_rejects_fault_no_cell_reads(runner, args):
+    # a fault no cell reads would make the self-test pass vacuously
+    res = invoke(runner, "verify", "--no-meta", *args)
+    assert res.exit_code == 2
+    assert "no cell" in res.output
+
+
+def test_verify_repeated_suite_runs_once(runner):
+    once = invoke(runner, "verify", "--suite", "kamano", "--no-meta")
+    twice = invoke(runner, "verify", "--suite", "kamano", "--suite", "kamano", "--no-meta")
+    assert twice.exit_code == once.exit_code == 0
+    assert twice.output == once.output
+
+
 def test_verify_rejects_level_and_order_zero(runner):
     # level 0 and order 0 are out of domain: a run over them would check nothing
     assert invoke(runner, "verify", "--N-max", "0").exit_code == 2
@@ -192,8 +215,15 @@ def test_verify_csv_and_json_same_content(runner):
             1,
             "11b36ac4c691c7c14de513579a429c880fb3bed89e300ce916060ff4bed14e3a",
         ),
+        (
+            ("--suite", "sums", "--suite", "two-three", "--N-max", "2", "--r-max", "4",
+             "--n-max", "6"),
+            0,
+            "04e149dd423b4df600dd03cbc0670d1c7fbe9a3592951a2af313a43f661eec2d",
+        ),
     ],
-    ids=["all-suites-json", "all-suites-csv", "sums-sample", "ode-recurrence-fault"],
+    ids=["all-suites-json", "all-suites-csv", "sums-sample", "ode-recurrence-fault",
+         "sums-two-three-r4"],
 )
 def test_verify_output_is_pinned(runner, args, exit_code, digest):
     res = invoke(runner, "verify", "--no-meta", *args)

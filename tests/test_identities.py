@@ -5,8 +5,9 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from hyperbern import identities
 from hyperbern.algebra import UniPoly, poly_eval
-from hyperbern.core import hb_numbers, hb_polys
+from hyperbern.core import HBPolyTable, hb_numbers, hb_polys
 from hyperbern.identities import (
     ALL_SUITES,
     FAIL,
@@ -117,6 +118,57 @@ def test_sums_sample_deterministic_and_replayable():
     assert replay(a)
     c = check_sums_of_products(2, 3, 6, mode="sample", sample_count=16, seed=8)
     assert c.details["points"] != a.details["points"]
+
+
+def _bump_poly(monkeypatch, idx, coeff=-1):
+    """Make the checks read order-1 tables with one coefficient of polys[idx]
+    raised by 1 (the leading one by default); the order-r tables stay exact."""
+    exact = identities.hb_polys
+
+    def bumped(N, n):
+        table = exact(N, n)
+        polys = list(table.polys)
+        coeffs = list(polys[idx].coeffs)
+        coeffs[coeff] += 1
+        polys[idx] = UniPoly(tuple(coeffs))
+        return HBPolyTable(N=table.N, r=table.r, polys=tuple(polys))
+
+    monkeypatch.setattr(identities, "hb_polys", bumped)
+
+
+# the exact first counterexample and the number of cells it took to reach it,
+# for each failure path of the grid and sample walkers
+@pytest.mark.parametrize(
+    "idx,coeff,call,cells,counter",
+    [
+        (0, -1, lambda: check_sums_of_products(1, 2, 3), 3,
+         {"x_points": ["0", "2"], "x_sum": "2", "lhs_direct": "7/2",
+          "lhs_collapsed": "1/2", "rhs": "1/2"}),
+        (3, -1, lambda: check_sums_of_products(1, 1, 3), 2,
+         {"x_points": ["1"], "x_sum": "1", "lhs_direct": "1",
+          "lhs_collapsed": "0", "rhs": "1"}),
+        (1, -1, lambda: check_sums_of_products(1, 3, 3), 2,
+         {"x_points": ["0", "0", "1"], "x_sum": "1", "lhs_direct": "11/4",
+          "lhs_collapsed": "1/4", "rhs": "1/4"}),
+        (2, -1, lambda: check_sums_of_products(1, 2, 3, mode="sample", sample_count=4, seed=7), 1,
+         {"x_points": ["15/17", "-7/81"], "x_sum": "1096/1377",
+          "lhs_direct": "-6619139359/5221939266",
+          "lhs_collapsed": "488436167/5221939266",
+          "rhs": "-1536814009/5221939266"}),
+        (1, -1, lambda: check_two_three_sums(2, 4), 2,
+         {"fold": 2, "x_points": ["0", "1"], "lhs": "1/270", "rhs": "-11/270"}),
+        # a raised constant term passes every fold-2 point at level 1, n = 3
+        (2, 0, lambda: check_two_three_sums(1, 3), 11,
+         {"fold": 3, "x_points": ["0", "0", "0"], "lhs": "-45/4", "rhs": "9/4"}),
+    ],
+    ids=["sums-r2", "sums-r1", "sums-r3", "sums-sample", "two-three-fold2", "two-three-fold3"],
+)
+def test_grid_failure_paths_are_pinned(monkeypatch, idx, coeff, call, cells, counter):
+    _bump_poly(monkeypatch, idx, coeff)
+    rep = call()
+    assert rep.status == FAIL
+    assert rep.cells_checked == cells
+    assert rep.counterexample == counter
 
 
 def test_sums_rhs_matches_two_fold_closed_form():
