@@ -386,16 +386,17 @@ def series_invert(a: PowerSeries) -> PowerSeries:
 
 
 def series_pow(a: PowerSeries, r: int) -> PowerSeries:
-    """r-fold product of a with itself (binary exponentiation, exact)."""
+    """r-fold product of a with itself (exact), by binary exponentiation from
+    the top bit: floor(log2 r) + popcount(r) - 1 products, none for r <= 1."""
     if r < 0:
         raise ValueError("exponent must be nonnegative")
-    result = PowerSeries.one(a.order)
-    base = a
-    while r:
-        if r & 1:
-            result = series_mul(result, base)
-        base = series_mul(base, base)
-        r >>= 1
+    if r == 0:
+        return PowerSeries.one(a.order)
+    result = a
+    for bit in bin(r)[3:]:
+        result = series_mul(result, result)
+        if bit == "1":
+            result = series_mul(result, a)
     return result
 
 

@@ -28,7 +28,7 @@ import click
 from . import __version__
 from .algebra import bipoly_subst_s, format_rational, parse_rational
 from .core import a_poly, hb_higher_polys_series, hb_numbers
-from .identities import ALL_SUITES, FAIL, REPORT_PARAMS, SuiteConfig, UnreadFault, run_suite
+from .identities import ALL_SUITES, FAIL, MODES, REPORT_PARAMS, SuiteConfig, VacuousRun, run_suite
 
 SCHEMA_VERSION = 1
 
@@ -362,7 +362,7 @@ def _parse_fault(_ctx, _param, value):
 @click.option("--n-max", "n_max", type=int, default=None, callback=_nonnegative)
 @click.option(
     "--mode",
-    type=click.Choice(["auto", "grid", "sample"]),
+    type=click.Choice(MODES),
     default="auto",
     show_default=True,
     help="Point strategy for the polynomial sums-of-products family.",
@@ -390,7 +390,7 @@ def verify(suites, N_max, r_max, n_max, mode, seed, sample_count, inject_fault, 
     )
     try:
         reports = run_suite(config)
-    except UnreadFault as exc:
+    except VacuousRun as exc:
         raise click.UsageError(str(exc))
     params = {
         "suites": list(config.suites),

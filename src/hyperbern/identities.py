@@ -14,7 +14,6 @@ as skipped cells (never as passes).
 
 from __future__ import annotations
 
-import functools
 import hashlib
 import itertools
 import math
@@ -56,6 +55,7 @@ __all__ = [
     "Suite",
     "SUITES",
     "ALL_SUITES",
+    "MODES",
     "REPORT_PARAMS",
     "check_kamano",
     "check_sums_of_products",
@@ -66,7 +66,9 @@ __all__ = [
     "check_logderiv",
     "check_appell_basics",
     "run_suite",
+    "VacuousRun",
     "UnreadFault",
+    "EmptySuite",
     "replay",
     "perturbed_numbers",
 ]
@@ -126,74 +128,56 @@ class _MultinomialEvaluator:
             for p in polys[: n + 1]
         ]
         self.fall = [self.fact_n // math.factorial(i) for i in range(n + 1)]
+        self._scaled: dict = {}  # coordinate -> (integer vector, its scale)
 
-    def vector(self, x: Fraction) -> tuple[list[int], int]:
-        """(integer vector, its scale M): entry i is p_i(x)/i! times M."""
-        n = self.n
-        a, b = x.numerator, x.denominator
-        apow = [1] * (n + 1)
-        bpow = [1] * (n + 1)
-        for k in range(1, n + 1):
-            apow[k] = apow[k - 1] * a
-            bpow[k] = bpow[k - 1] * b
-        u = []
-        for i, coeffs in enumerate(self.int_coeffs):
-            val = 0
-            for k, c in enumerate(coeffs):
-                val += c * apow[k] * bpow[i - k]
-            u.append(val * self.fall[i] * bpow[n - i])
-        return u, self.denom_clear * self.fact_n * bpow[n]
+    def evaluate(self, points):
+        """Yield (point, multinomial sum at the point) for each point of an
+        iterable of equal-length tuples of ints or Fractions, in order.
 
-    def combine(self, scaled_vectors) -> Fraction:
-        """The multinomial sum over the given per-coordinate vectors."""
-        n = self.n
-        if len(scaled_vectors) == 1:
-            u, m = scaled_vectors[0]
-            return Fraction(self.fact_n * u[n], m)
-        conv, m_total = scaled_vectors[0]
-        for u, m in scaled_vectors[1:-1]:
-            conv = _int_conv_trunc(conv, u, n)
-            m_total *= m
-        u, m = scaled_vectors[-1]
-        m_total *= m
-        return Fraction(self.fact_n * _int_dot_rev(conv, u, n), m_total)
-
-    @functools.cached_property
-    def _integer_vectors(self) -> list[list[int]]:
-        return [self.vector(Fraction(g))[0] for g in range(self.n + 1)]
-
-    def grid(self, fold: int, ascending: bool = False):
-        """Yield (point, multinomial sum at the point) over the integer grid
-        {0..n}^fold in lexicographic order; with ``ascending`` only the
-        non-decreasing points.
-
-        Every point extending a prefix shares that prefix's convolution: the
-        stack holds the convolution of each leading run of coordinates, the
-        empty run being the unit, and is rebuilt only from the first
+        Each distinct coordinate x = a/b becomes, once per evaluator, an
+        integer vector (entry i is p_i(x)/i! times its scale D * n! * b^n) and
+        that scale.  Consecutive points share the convolution of their common
+        leading coordinates: the stack holds the convolution of each leading
+        run, the empty run being the unit, and is rebuilt only from the first
         coordinate that changed.
         """
         n = self.n
-        vecs = self._integer_vectors
-        # x = g/1, so every integer point has the same scale
-        scale = (self.denom_clear * self.fact_n) ** fold
-        if ascending:
-            prefixes = itertools.combinations_with_replacement(range(n + 1), fold - 1)
-        else:
-            prefixes = itertools.product(range(n + 1), repeat=fold - 1)
-        stack = [[1] + [0] * n]
-        prev: tuple[int, ...] = ()
-        for prefix in prefixes:
+
+        def scaled(x) -> tuple[list[int], int]:
+            if x not in self._scaled:
+                a, b = x.numerator, x.denominator
+                apow = [1] * (n + 1)
+                bpow = [1] * (n + 1)
+                for k in range(1, n + 1):
+                    apow[k] = apow[k - 1] * a
+                    bpow[k] = bpow[k - 1] * b
+                u = []
+                for i, coeffs in enumerate(self.int_coeffs):
+                    val = 0
+                    for k, c in enumerate(coeffs):
+                        val += c * apow[k] * bpow[i - k]
+                    u.append(val * self.fall[i] * bpow[n - i])
+                self._scaled[x] = u, self.denom_clear * self.fact_n * bpow[n]
+            return self._scaled[x]
+
+        stack = [([1] + [0] * n, 1)]
+        prev: tuple = ()
+        for point in points:
+            # stack[j] is the convolution of prev[:j]
             k = 0
-            while k < len(prev) and prefix[k] == prev[k]:
+            while k < len(stack) - 1 and point[k] == prev[k]:
                 k += 1
             del stack[k + 1 :]
-            for g in prefix[k:]:
+            for x in point[k:-1]:
+                conv, m_total = stack[-1]
+                u, m = scaled(x)
                 # the unit convolved with a vector is that vector
-                stack.append(vecs[g] if len(stack) == 1 else _int_conv_trunc(stack[-1], vecs[g], n))
-            prev = prefix
-            conv = stack[-1]
-            for g in range(prefix[-1] if ascending and prefix else 0, n + 1):
-                yield prefix + (g,), Fraction(self.fact_n * _int_dot_rev(conv, vecs[g], n), scale)
+                stack.append((u if len(stack) == 1 else _int_conv_trunc(conv, u, n), m_total * m))
+            prev = point
+            conv, m_total = stack[-1]
+            u, m = scaled(point[-1])
+            dot = sum(c * v for c, v in zip(conv, reversed(u)))
+            yield point, Fraction(self.fact_n * dot, m_total * m)
 
 
 def _int_conv_trunc(a: list[int], b: list[int], n: int) -> list[int]:
@@ -204,10 +188,6 @@ def _int_conv_trunc(a: list[int], b: list[int], n: int) -> list[int]:
             acc += a[i] * b[k - i]
         out.append(acc)
     return out
-
-
-def _int_dot_rev(a: list[int], b: list[int], n: int) -> int:
-    return sum(a[i] * b[n - i] for i in range(n + 1))
 
 
 def _cell_rng(seed: int, name: str, *index: int) -> random.Random:
@@ -253,7 +233,7 @@ def check_kamano(N: int, r: int, n: int) -> VerifyReport:
     values = hb_numbers(N, n).values
     # the numbers as constant polynomials, so the convolution runs on integers
     evaluator = _MultinomialEvaluator([UniPoly((v,)) for v in values], n)
-    lhs = evaluator.combine([evaluator.vector(Fraction(0))] * r)
+    ((_, lhs),) = evaluator.evaluate([(0,) * r])
 
     s_val = _sub_s_value(N, r, n)
     entries = a_poly_at_zero(N, r).entries
@@ -323,7 +303,7 @@ def check_sums_of_products(
 
     if mode == "grid":
         details = {"mode": "grid"}
-        lhs_at_points = evaluator.grid(r)
+        points = itertools.product(range(n + 1), repeat=r)
     else:
         rng = _cell_rng(seed, "sums", N, r, n)
         points = [
@@ -335,16 +315,13 @@ def check_sums_of_products(
             "sample_count": sample_count,
             "points": [[format_rational(c) for c in pt] for pt in points],
         }
-        lhs_at_points = (
-            (pt, evaluator.combine([evaluator.vector(c) for c in pt])) for pt in points
-        )
 
     # the collapsed side and the closed form depend on the point only through
     # its sum; the direct side is still compared at every point
     side_cache: dict = {}
     checked = 0
     counter = None
-    for point, lhs_direct in lhs_at_points:
+    for point, lhs_direct in evaluator.evaluate(points):
         checked += 1
         x_sum = sum(point)
         if x_sum not in side_cache:
@@ -409,7 +386,8 @@ def check_two_three_sums(N: int, n: int) -> VerifyReport:
     closed_forms = {2: rhs_two, 3: rhs_three} if n >= 2 else {2: rhs_two}
     for fold, closed_form in closed_forms.items():
         rhs_at = [closed_form(Fraction(x)) for x in range(fold * n + 1)]
-        for point, lhs in evaluator.grid(fold, ascending=True):
+        points = itertools.combinations_with_replacement(range(n + 1), fold)
+        for point, lhs in evaluator.evaluate(points):
             checked += 1
             rhs = rhs_at[sum(point)]
             if lhs != rhs:
@@ -662,6 +640,9 @@ SUITES = {
 
 ALL_SUITES = tuple(SUITES)
 
+# point strategies for the sums family; "auto" picks grid or sample per cell
+MODES = ("auto", "grid", "sample")
+
 # every parameter a report can carry, in column order
 REPORT_PARAMS = tuple(dict.fromkeys(p for suite in SUITES.values() for p in suite.params))
 
@@ -693,7 +674,9 @@ class SuiteConfig:
         unknown = set(self.suites) - set(ALL_SUITES)
         if unknown:
             raise ValueError(f"unknown suites: {sorted(unknown)}")
-        if self.mode not in ("auto", "grid", "sample"):
+        if not self.suites:
+            raise ValueError("no suite selected")
+        if self.mode not in MODES:
             raise ValueError(f"unknown mode {self.mode!r}")
         # level 0 and order 0 are out of domain: a range over them checks nothing
         for name, low in (("N_max", 1), ("r_max", 1), ("n_max", 0)):
@@ -738,8 +721,16 @@ def _check_cell(suite: Suite, params: dict, cfg: SuiteConfig) -> VerifyReport:
     return globals()[suite.check](*args, **kwargs)
 
 
-class UnreadFault(ValueError):
+class VacuousRun(ValueError):
+    """The run would pass without checking what it was asked to check."""
+
+
+class UnreadFault(VacuousRun):
     """The run has no cell that reads the number its fault perturbs."""
+
+
+class EmptySuite(VacuousRun):
+    """A selected suite has no cell of the run that meets its precondition."""
 
 
 def run_suite(config: SuiteConfig = SuiteConfig()) -> list[VerifyReport]:
@@ -749,11 +740,18 @@ def run_suite(config: SuiteConfig = SuiteConfig()) -> list[VerifyReport]:
     Reports come back sorted by (suite, N, r, index).  A fault B[N,k] is read
     only by injectable cells at level N with index >= k; a run without such a
     cell raises :class:`UnreadFault`, as it would pass whether or not the
-    fault trips.
+    fault trips.  A selected suite whose every cell would be skipped raises
+    :class:`EmptySuite`, as it would check nothing.
     """
     jobs = sorted(
         (name, cell) for name in config.suites for cell in _cells(SUITES[name], config)
     )
+    for name in config.suites:
+        suite = SUITES[name]
+        if suite.requires and not any(suite.requires(*cell) for job, cell in jobs if job == name):
+            raise EmptySuite(
+                f"suite {name!r} checks nothing: every cell is skipped ({suite.skip_reason})"
+            )
     if config.fault is not None:
         level, k = config.fault
         if not any(

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from hyperbern import algebra
 from hyperbern.algebra import (
     BiPoly,
     PowerSeries,
@@ -214,6 +215,21 @@ def test_series_pow_cases():
     assert series_pow(a, 0) == PowerSeries.one(2)
     assert series_pow(a, 1) == a
     assert series_pow(a, 2).coeffs == (1, 2, 1)
+
+
+@pytest.mark.parametrize("r", range(9))
+def test_series_pow_product_count(monkeypatch, r):
+    # floor(log2 r) + popcount(r) - 1 products, none for r <= 1
+    calls = []
+
+    def counting_mul(a, b):
+        calls.append(1)
+        return series_mul(a, b)
+
+    monkeypatch.setattr(algebra, "series_mul", counting_mul)
+    series_pow(series([1, 2, 3, 4]), r)
+    expected = 0 if r <= 1 else r.bit_length() - 1 + bin(r).count("1") - 1
+    assert len(calls) == expected
 
 
 def test_series_truncate():

@@ -166,6 +166,25 @@ def test_verify_rejects_fault_no_cell_reads(runner, args):
     assert "no cell" in res.output
 
 
+@pytest.mark.parametrize(
+    "args,suite,reason",
+    [
+        (("--suite", "genfun-ode", "--n-max", "1"), "genfun-ode", "requires order >= 2"),
+        (("--suite", "two-three", "--n-max", "0"), "two-three", "requires n >= 1"),
+        (("--suite", "logderiv", "--n-max", "0"), "logderiv", "requires order >= 1"),
+        (("--suite", "kamano", "--suite", "genfun-ode", "--n-max", "1"), "genfun-ode",
+         "requires order >= 2"),
+    ],
+    ids=["genfun-ode", "two-three", "logderiv", "one-of-two"],
+)
+def test_verify_rejects_suite_with_every_cell_skipped(runner, args, suite, reason):
+    # a selected suite that checks nothing would pass quietly
+    res = invoke(runner, "verify", "--no-meta", *args)
+    assert res.exit_code == 2
+    assert f"suite '{suite}'" in res.output
+    assert reason in res.output
+
+
 def test_verify_repeated_suite_runs_once(runner):
     once = invoke(runner, "verify", "--suite", "kamano", "--no-meta")
     twice = invoke(runner, "verify", "--suite", "kamano", "--suite", "kamano", "--no-meta")

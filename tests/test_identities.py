@@ -40,9 +40,33 @@ rationals = st.fractions(min_value=-20, max_value=20, max_denominator=12)
 def test_integer_evaluator_matches_fraction_path(n, points):
     polys = hb_polys(2, n).polys
     ev = _MultinomialEvaluator(polys, n)
-    lhs = ev.combine([ev.vector(x) for x in points])
+    ((_, lhs),) = ev.evaluate([tuple(points)])
     plain = [[poly_eval(p, x) for p in polys] for x in points]
     assert lhs == multinomial_sum_bruteforce(plain, n)
+
+
+# coordinates from a small pool, so that points repeat and share leading runs
+_pooled = st.one_of(
+    st.integers(min_value=-2, max_value=3),
+    st.sampled_from([Fraction(1, 2), Fraction(-5, 3)]),
+    rationals,
+)
+
+
+@given(
+    st.integers(min_value=0, max_value=6),
+    st.integers(min_value=1, max_value=3).flatmap(
+        lambda fold: st.lists(st.tuples(*[_pooled] * fold), min_size=1, max_size=6)
+    ),
+)
+def test_evaluate_any_point_order(n, points):
+    # repeated points and orders that no check produces, each against brute force
+    polys = hb_polys(3, n).polys
+    out = list(_MultinomialEvaluator(polys, n).evaluate(points))
+    assert [point for point, _ in out] == points
+    for point, value in out:
+        plain = [[poly_eval(p, Fraction(x)) for p in polys] for x in point]
+        assert value == multinomial_sum_bruteforce(plain, n)
 
 
 # --- number identity ----------------------------------------------------------
@@ -84,7 +108,7 @@ def test_kamano_against_bruteforce_range(level, order):
         direct = multinomial_sum_bruteforce([list(values)] * order, n)
         # the integer path check_kamano takes: the numbers as constant polynomials at x = 0
         ev = _MultinomialEvaluator([UniPoly((v,)) for v in values], n)
-        assert ev.combine([ev.vector(Fraction(0))] * order) == direct
+        assert list(ev.evaluate([(0,) * order])) == [((0,) * order, direct)]
 
 
 # --- polynomial identity --------------------------------------------------------
@@ -316,7 +340,9 @@ def test_appell_basics_pass(level, order):
 
 
 def test_suite_empty_selection():
-    assert run_suite(SuiteConfig(suites=())) == []
+    # a run of no suite checks nothing
+    with pytest.raises(ValueError):
+        SuiteConfig(suites=())
 
 
 def test_suite_empty_level_range():
