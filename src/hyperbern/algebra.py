@@ -94,7 +94,8 @@ class UniPoly:
     coeffs: tuple[Fraction, ...] = ()
 
     def __post_init__(self) -> None:
-        cs = [Fraction(c) for c in self.coeffs]
+        # a Fraction is already reduced; only other values are converted
+        cs = [c if type(c) is Fraction else Fraction(c) for c in self.coeffs]
         while cs and cs[-1] == 0:
             cs.pop()
         object.__setattr__(self, "coeffs", tuple(cs))
@@ -199,7 +200,9 @@ class BiPoly:
     coeffs: tuple[tuple[Fraction, ...], ...] = ()
 
     def __post_init__(self) -> None:
-        rows = [[Fraction(c) for c in row] for row in self.coeffs]
+        rows = [
+            [c if type(c) is Fraction else Fraction(c) for c in row] for row in self.coeffs
+        ]
         width = max((len(r) for r in rows), default=0)
         for r in rows:
             r.extend([Fraction(0)] * (width - len(r)))
@@ -338,7 +341,7 @@ class PowerSeries:
     coeffs: tuple[Fraction, ...]
 
     def __post_init__(self) -> None:
-        cs = tuple(Fraction(c) for c in self.coeffs)
+        cs = tuple(c if type(c) is Fraction else Fraction(c) for c in self.coeffs)
         if not cs:
             raise ValueError("a series needs at least its constant term")
         object.__setattr__(self, "coeffs", cs)

@@ -2,10 +2,18 @@
 
 The family is indexed by a level ``N >= 1`` and an order ``r >= 1``.  The
 level-N numbers ``B[N,n]`` are ``n!`` times the series coefficients of the
-reciprocal of the normalized denominator series (the series whose k-th
+reciprocal F of the normalized denominator series D (the series whose k-th
 coefficient is ``N!/(N+k)!``); at ``N = 1`` they are the classical Bernoulli
 numbers.  The polynomials form an Appell sequence over the numbers, and the
 order-r variants come from the r-th power of the same reciprocal series.
+
+The number table is not built by inverting D.  The coefficient of ``t**k``
+in ``D * F = 1`` is ``sum_{m<=k} N!/(N+k-m)! * B[N,m]/m! = [k = 0]``;
+multiplied by ``(N+k)!/N!`` it becomes the integer-binomial recurrence
+
+    sum_{m=0..k} C(N+k, m) B[N,m] = 0    (k >= 1),   B[N,0] = 1,
+
+which ``hb_numbers`` runs on Python ints over one common denominator.
 
 Each quantity is computed by independent routes (series inversion, the
 linear recurrence, the order-raising step, the multiplicative operator) so
@@ -76,6 +84,13 @@ class APolyTable:
     entries: tuple[BiPoly, ...]
 
 
+def _check_level_order(N: int, order: int) -> None:
+    if N < 1:
+        raise ValueError("level N must be >= 1")
+    if order < 0:
+        raise ValueError("order must be nonnegative")
+
+
 def normalized_denominator(N: int, order: int) -> PowerSeries:
     """Series with coefficient N!/(N+k)! at t**k (constant term 1).
 
@@ -83,20 +98,40 @@ def normalized_denominator(N: int, order: int) -> PowerSeries:
     removed, shifted down by the valuation N and rescaled by N!; its
     reciprocal generates the level-N numbers.
     """
-    if N < 1:
-        raise ValueError("level N must be >= 1")
-    if order < 0:
-        raise ValueError("order must be nonnegative")
+    _check_level_order(N, order)
     e = exp_series(order + N)
     scale = math.factorial(N)
     return PowerSeries(tuple(scale * c for c in e.coeffs[N:]))
 
 
 def hb_numbers(N: int, n_max: int) -> HBNumberTable:
-    """Numbers B[N,0..n_max] via exact series inversion."""
-    f = series_invert(normalized_denominator(N, n_max))
-    values = tuple(math.factorial(n) * c for n, c in enumerate(f.coeffs))
-    return HBNumberTable(N=N, values=values)
+    """Numbers B[N,0..n_max] by the integer-binomial recurrence
+
+        B[N,0] = 1,   B[N,k] = -sum_{m<k} C(N+k, m) B[N,m] / C(N+k, k),
+
+    the coefficient of t**k in ``normalized_denominator * F = 1`` times
+    (N+k)!/N! (see the module docstring).  Every B[N,m] is held as an
+    integer numerator P_m over one common denominator D.  At step k,
+    S = -sum_{m<k} C(N+k, m) P_m and c = C(N+k, k); with g = gcd(S, c) the
+    old numerators and D are scaled by c/g and P_k = S/g.  Since
+    gcd(S/g, c/g) = 1, D stays the least common denominator, so no further
+    reduction is needed.  Fractions are built only for the output.  No
+    series kernel is used, so the ``logderiv`` check compares series
+    inversion against a different construction.
+    """
+    _check_level_order(N, n_max)
+    nums = [1]
+    den = 1
+    for k in range(1, n_max + 1):
+        s = -sum(math.comb(N + k, m) * p for m, p in enumerate(nums))
+        c = math.comb(N + k, k)
+        g = math.gcd(s, c)
+        scale = c // g
+        if scale != 1:
+            nums = [scale * p for p in nums]
+            den *= scale
+        nums.append(s // g)
+    return HBNumberTable(N=N, values=tuple(Fraction(p, den) for p in nums))
 
 
 def _appell_polys(values: tuple[Fraction, ...]) -> tuple[UniPoly, ...]:
@@ -137,27 +172,57 @@ def hb_higher_polys_recurrence(
 
     Starting from the constant 1, each step is
 
-        p_{n+1} = (x - r/(N+1)) p_n - r N sum_{k<n} C(n,k) B[N,n-k+1]/(n-k+1) p_k
+        p_{n+1} = (x - r/(N+1)) p_n - sum_{k<n} w_{n,k} p_k,
+        w_{n,k} = r N C(n,k) B[N,n-k+1]/(n-k+1),
 
     which consumes only the order-1 numbers; the series engine is never
-    touched, so this path is independent of hb_higher_polys_series.  An
-    explicit ``numbers`` table may be injected (used for fault-sensitivity
-    testing); it must cover indices up to n_max.
+    touched, so this path is independent of hb_higher_polys_series.  Each
+    row is held as integer numerators over one reduced row denominator D_n:
+    a step takes the lcm of (N+1) D_n and of each weight's denominator
+    times D_k, combines the rows in ints and divides by the gcd of the
+    result, so Fractions are built only for the output.  Step n touches
+    O(n^2) coefficients, so the table costs O(n_max^3) integer operations
+    (on numbers that grow with n).  An explicit ``numbers`` table may be
+    injected (used for fault-sensitivity testing); it must cover indices up
+    to n_max.
     """
     if r < 1:
         raise ValueError("order r must be >= 1")
     if numbers is None:
         numbers = hb_numbers(N, n_max + 1)
     values = numbers.values
-    shift = UniPoly((Fraction(-r, N + 1), Fraction(1)))  # x - r/(N+1)
-    polys = [UniPoly((Fraction(1),))]
+    # v[j] = r N B[N,j+1]/(j+1), so that w_{n,k} = C(n,k) v[n-k]
+    v = [Fraction(r * N) * values[j + 1] / (j + 1) for j in range(n_max)]
+    rows: list[list[int]] = [[1]]
+    dens = [1]
     for n in range(n_max):
-        nxt = shift * polys[n]
+        # (x - r/(N+1)) p_n = ((N+1) x - r) p_n / (N+1)
+        a = rows[n]
+        shifted = [-r * a[0]]
+        shifted += [(N + 1) * a[i - 1] - r * a[i] for i in range(1, n + 1)]
+        shifted.append((N + 1) * a[n])
+        terms = []  # (numerator weight, denominator weight * D_k, row k)
         for k in range(n):
-            w = Fraction(r * N * math.comb(n, k), 1) * values[n - k + 1] / (n - k + 1)
-            nxt = nxt - w * polys[k]
-        polys.append(nxt)
-    return HBPolyTable(N=N, r=r, polys=tuple(polys))
+            w = v[n - k]
+            if w:
+                binom = math.comb(n, k)
+                g = math.gcd(binom, w.denominator)
+                terms.append((binom // g * w.numerator, w.denominator // g * dens[k], k))
+        shifted_den = (N + 1) * dens[n]
+        den = math.lcm(shifted_den, *(d for _, d, _ in terms))
+        f = den // shifted_den
+        acc = [f * c for c in shifted]
+        for wn, wd, k in terms:
+            f = den // wd * wn
+            for i, c in enumerate(rows[k]):
+                acc[i] -= f * c
+        g = math.gcd(den, *acc)
+        rows.append([c // g for c in acc])
+        dens.append(den // g)
+    polys = tuple(
+        UniPoly(tuple(Fraction(c, d) for c in row)) for row, d in zip(rows, dens)
+    )
+    return HBPolyTable(N=N, r=r, polys=polys)
 
 
 def hb_order_step(table: HBPolyTable, n: int) -> UniPoly:
@@ -216,8 +281,8 @@ def a_poly_at_zero(N: int, r: int) -> APolyTable:
         A_1(0) = 1
         A_r(i) = (s-1)/(r-1) * A_{r-1}(i)|_{s -> s-N} + A_{r-1}(i-1)|_{s -> s-N+1}
 
-    rather than by substituting x = 0 into a_poly; the identity layer
-    cross-checks that the two agree.
+    rather than by substituting x = 0 into a_poly.  No ``verify`` suite
+    compares the two; only the package's unit tests check that they agree.
     """
     if N < 1 or r < 1:
         raise ValueError("N and r must be >= 1")

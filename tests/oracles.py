@@ -1,9 +1,11 @@
 """Independent reference computations used to pin expected test values.
 
-Nothing here touches the package's series or recurrence engines: the
-classical Bernoulli numbers come from the binomial-sum recurrence, the
+The classical Bernoulli numbers come from the binomial-sum recurrence, the
 multinomial sums from literal composition enumeration, and the weighted
-moments from the Beta-function closed form.
+moments from the Beta-function closed form.  Two former package builders are
+kept here as references for the integer engines that replaced them: the
+number table by exact series inversion, and the order-r recurrence in
+Fraction arithmetic.
 """
 
 from __future__ import annotations
@@ -11,7 +13,8 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-from hyperbern.algebra import UniPoly
+from hyperbern.algebra import UniPoly, series_invert
+from hyperbern.core import HBNumberTable, normalized_denominator
 
 
 def classical_bernoulli(n_max: int) -> list[Fraction]:
@@ -23,6 +26,36 @@ def classical_bernoulli(n_max: int) -> list[Fraction]:
         )
         values.append(-acc / (n + 1))
     return values
+
+
+def hb_numbers_by_inversion(N: int, n_max: int) -> list[Fraction]:
+    """B[N,0..n_max] as n! times the coefficients of 1/normalized_denominator."""
+    f = series_invert(normalized_denominator(N, n_max))
+    return [math.factorial(n) * c for n, c in enumerate(f.coeffs)]
+
+
+def hb_higher_polys_recurrence_fractions(
+    N: int, r: int, n_max: int, numbers: HBNumberTable | None = None
+) -> list[UniPoly]:
+    """The order-r recurrence
+
+        p_{n+1} = (x - r/(N+1)) p_n - r N sum_{k<n} C(n,k) B[N,n-k+1]/(n-k+1) p_k
+
+    in UniPoly/Fraction arithmetic, over ``numbers`` or, by default, the
+    series-inversion numbers."""
+    if numbers is None:
+        values = hb_numbers_by_inversion(N, n_max + 1)
+    else:
+        values = numbers.values
+    shift = UniPoly((Fraction(-r, N + 1), Fraction(1)))
+    polys = [UniPoly((Fraction(1),))]
+    for n in range(n_max):
+        nxt = shift * polys[n]
+        for k in range(n):
+            w = Fraction(r * N * math.comb(n, k)) * values[n - k + 1] / (n - k + 1)
+            nxt = nxt - w * polys[k]
+        polys.append(nxt)
+    return polys
 
 
 # Closed forms for the first few classical Bernoulli polynomials.

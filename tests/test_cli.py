@@ -96,6 +96,31 @@ def test_apoly_rejects_malformed_substitution(runner):
     assert res.exit_code == 2
 
 
+@pytest.mark.parametrize(
+    "args,digest",
+    [
+        (
+            ("numbers", "--N", "3", "--max-n", "400"),
+            "d9da4c76aaca2feab23efe1575c95b1bbdacac581d60c029446593bc53686f2c",
+        ),
+        (
+            ("polys", "--N", "3", "--r", "3", "--max-n", "150"),
+            "c5a8d41cbad4a6cee1e07383b048f989777fb21e1109ce1ad86c685e019a4e7f",
+        ),
+        (
+            ("apoly", "--N", "4", "--r", "8"),
+            "955720befb4cd9e37e0e9cffcb7ec29b632f3a6d5a4e996b450a6e051e5c0323",
+        ),
+    ],
+    ids=["numbers-400", "polys-150", "apoly-8"],
+)
+def test_table_output_is_pinned(runner, args, digest):
+    # the same digests gate the perfbench tables-large workload
+    res = invoke(runner, *args, "--no-meta")
+    assert res.exit_code == 0
+    assert hashlib.sha256(res.output.encode("utf-8")).hexdigest() == digest
+
+
 # --- verify ---------------------------------------------------------------------
 
 

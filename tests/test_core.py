@@ -2,7 +2,10 @@ import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from hyperbern import algebra, core
 from hyperbern.algebra import (
     UniPoly,
     bipoly_subst_s,
@@ -25,7 +28,13 @@ from hyperbern.core import (
     mult_operator_apply,
     normalized_denominator,
 )
-from oracles import CLASSICAL_BERNOULLI_POLYS, classical_bernoulli
+from hyperbern.identities import perturbed_numbers
+from oracles import (
+    CLASSICAL_BERNOULLI_POLYS,
+    classical_bernoulli,
+    hb_higher_polys_recurrence_fractions,
+    hb_numbers_by_inversion,
+)
 
 
 # --- normalized denominator series ------------------------------------------
@@ -97,6 +106,59 @@ def test_number_table_head(level):
     assert table.values[1] == Fraction(-1, level + 1)
 
 
+def test_numbers_reject_bad_args():
+    with pytest.raises(ValueError, match="level N must be >= 1"):
+        hb_numbers(0, 5)
+    with pytest.raises(ValueError, match="order must be nonnegative"):
+        hb_numbers(1, -1)
+
+
+@settings(deadline=None)
+@given(st.integers(min_value=1, max_value=6), st.integers(min_value=0, max_value=60))
+def test_numbers_match_series_inversion(level, n_max):
+    values = hb_numbers(level, n_max).values
+    assert list(values) == hb_numbers_by_inversion(level, n_max)
+    assert all(type(v) is Fraction for v in values)
+
+
+def test_numbers_match_sympy_series():
+    # an oracle outside the package: n! [t^n] of (t^N/N!) / (e^t - T_{N-1}(t)),
+    # T_{N-1} the degree-(N-1) Taylor polynomial of e^t, expanded by sympy
+    sympy = pytest.importorskip("sympy")
+    t = sympy.Symbol("t")
+    for level in range(1, 6):
+        taylor = sum(t**k / sympy.factorial(k) for k in range(level))
+        expr = t**level / sympy.factorial(level) / (sympy.exp(t) - taylor)
+        series = sympy.series(expr, t, 0, 41).removeO()
+        for n, value in enumerate(hb_numbers(level, 40).values):
+            expected = series.coeff(t, n) * sympy.factorial(n)
+            assert value == Fraction(int(expected.p), int(expected.q)), (level, n)
+
+
+def test_level_one_numbers_match_sympy_bernoulli():
+    sympy = pytest.importorskip("sympy")
+    for n, value in enumerate(hb_numbers(1, 60).values):
+        # sympy >= 1.12 takes B_1 = +1/2; the level-1 numbers have B_1 = -1/2
+        expected = -sympy.bernoulli(n) if n == 1 else sympy.bernoulli(n)
+        assert value == Fraction(int(expected.p), int(expected.q)), n
+
+
+def test_integer_engines_use_no_series_kernel(monkeypatch):
+    numbers = hb_numbers_by_inversion(3, 20)
+    polys = hb_higher_polys_recurrence_fractions(3, 2, 12)
+
+    def refuse(*_args):
+        raise AssertionError("series kernel called")
+
+    for name in ("series_invert", "series_mul", "series_pow"):
+        for module in (algebra, core):
+            monkeypatch.setattr(module, name, refuse, raising=False)
+    with pytest.raises(AssertionError, match="series kernel called"):
+        core.hb_higher_numbers(2, 2, 5)
+    assert list(hb_numbers(3, 20).values) == numbers
+    assert list(hb_higher_polys_recurrence(3, 2, 12).polys) == polys
+
+
 # --- polynomial tables -------------------------------------------------------
 
 
@@ -162,6 +224,23 @@ def test_recurrence_agrees_with_series(level, order):
         hb_higher_polys_recurrence(level, order, 12).polys
         == hb_higher_polys_series(level, order, 12).polys
     )
+
+
+@settings(deadline=None, max_examples=30)
+@given(
+    st.integers(min_value=1, max_value=6),
+    st.integers(min_value=1, max_value=4),
+    st.integers(min_value=0, max_value=60),
+    st.data(),
+)
+def test_recurrence_matches_fraction_recurrence(level, order, n_max, data):
+    polys = hb_higher_polys_recurrence(level, order, n_max).polys
+    assert list(polys) == hb_higher_polys_recurrence_fractions(level, order, n_max)
+    # a fault table feeds both builders the same wrong number
+    k = data.draw(st.integers(min_value=2, max_value=max(2, n_max)))
+    bad = perturbed_numbers(level, k, n_max + 1)
+    polys = hb_higher_polys_recurrence(level, order, n_max, numbers=bad).polys
+    assert list(polys) == hb_higher_polys_recurrence_fractions(level, order, n_max, bad)
 
 
 # --- order-raising step ------------------------------------------------------
