@@ -3,11 +3,9 @@
 from .algebra import (
     BiPoly,
     PowerSeries,
-    Rational,
     UniPoly,
     format_rational,
     parse_rational,
-    rat,
 )
 from .core import (
     APolyTable,
@@ -29,11 +27,9 @@ __version__ = "0.1.0"
 
 __all__ = [
     "__version__",
-    "Rational",
     "UniPoly",
     "BiPoly",
     "PowerSeries",
-    "rat",
     "format_rational",
     "parse_rational",
     "HBNumberTable",

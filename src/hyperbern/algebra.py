@@ -21,37 +21,24 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Union
 
-Rational = Fraction
 RationalLike = Union[int, Fraction]
 
 __all__ = [
-    "Rational",
     "UniPoly",
     "BiPoly",
     "PowerSeries",
-    "rat",
     "format_rational",
     "parse_rational",
     "poly_eval",
     "poly_derivative",
     "poly_integral_weighted",
     "bipoly_subst_s",
-    "bipoly_subst_x",
     "bipoly_shift_s",
     "series_mul",
     "series_truncate",
     "series_invert",
     "series_pow",
-    "exp_series",
-    "pochhammer",
 ]
-
-
-def rat(num: int, den: int = 1) -> Fraction:
-    """Exact rational num/den, canonically reduced with positive denominator."""
-    if den == 0:
-        raise ZeroDivisionError("rational with zero denominator")
-    return Fraction(num, den)
 
 
 _RATIONAL_RE = re.compile(r"^(-?\d+)(?:/(\d+))?$")
@@ -59,7 +46,6 @@ _RATIONAL_RE = re.compile(r"^(-?\d+)(?:/(\d+))?$")
 
 def format_rational(q: RationalLike) -> str:
     """Serialize to the reduced string "p/q", or just "p" when q = 1."""
-    q = Fraction(q)
     if q.denominator == 1:
         return str(q.numerator)
     return f"{q.numerator}/{q.denominator}"
@@ -114,9 +100,6 @@ class UniPoly:
             raise ValueError("zero polynomial has no leading coefficient")
         return self.coeffs[-1]
 
-    def __call__(self, v: RationalLike) -> Fraction:
-        return poly_eval(self, v)
-
     def __add__(self, other: UniPoly) -> UniPoly:
         a, b = self.coeffs, other.coeffs
         if len(a) < len(b):
@@ -145,12 +128,6 @@ class UniPoly:
         return UniPoly(tuple(a * c for a in self.coeffs))
 
     __rmul__ = __mul__
-
-    def __str__(self) -> str:
-        if self.is_zero:
-            return "0"
-        parts = [f"({format_rational(c)})*x^{k}" for k, c in enumerate(self.coeffs) if c]
-        return " + ".join(parts)
 
 
 def poly_eval(p: UniPoly, v: RationalLike) -> Fraction:
@@ -289,20 +266,6 @@ def bipoly_subst_s(a: BiPoly, sval: RationalLike) -> UniPoly:
     return UniPoly(tuple(out))
 
 
-def bipoly_subst_x(a: BiPoly, xval: RationalLike) -> UniPoly:
-    """Substitute a rational value for x, leaving a polynomial in s."""
-    xval = Fraction(xval)
-    if a.is_zero:
-        return UniPoly()
-    out = [Fraction(0)] * len(a.coeffs[0])
-    power = Fraction(1)
-    for row in a.coeffs:
-        for j, c in enumerate(row):
-            out[j] += c * power
-        power *= xval
-    return UniPoly(tuple(out))
-
-
 def bipoly_shift_s(a: BiPoly, offset: RationalLike) -> BiPoly:
     """Compose s -> s + offset by exact binomial re-expansion of each s power."""
     offset = Fraction(offset)
@@ -402,20 +365,3 @@ def series_pow(a: PowerSeries, r: int) -> PowerSeries:
             result = series_mul(result, a)
     return result
 
-
-def exp_series(order: int) -> PowerSeries:
-    """Taylor series of e**t: coefficient of t**k is 1/k!."""
-    if order < 0:
-        raise ValueError("order must be nonnegative")
-    return PowerSeries(tuple(Fraction(1, math.factorial(k)) for k in range(order + 1)))
-
-
-def pochhammer(a: RationalLike, n: int) -> Fraction:
-    """Rising factorial a(a+1)...(a+n-1), with the empty product equal to 1."""
-    if n < 0:
-        raise ValueError("n must be nonnegative")
-    a = Fraction(a)
-    result = Fraction(1)
-    for k in range(n):
-        result *= a + k
-    return result

@@ -220,18 +220,6 @@ def _report_payload(reports) -> list:
 # ---------------------------------------------------------------------------
 
 
-def _positive(_ctx, param, value):
-    if value is not None and value < 1:
-        raise click.BadParameter(f"{param.opts[0]} must be >= 1")
-    return value
-
-
-def _nonnegative(_ctx, param, value):
-    if value is not None and value < 0:
-        raise click.BadParameter(f"{param.opts[0]} must be >= 0")
-    return value
-
-
 def _output_options(default_format: str):
     def wrap(f):
         f = click.option(
@@ -276,8 +264,8 @@ def cli():
 
 
 @cli.command()
-@click.option("--N", "level", type=int, required=True, callback=_positive, help="Level N >= 1.")
-@click.option("--max-n", type=int, required=True, callback=_nonnegative, help="Largest index n.")
+@click.option("--N", "level", type=click.IntRange(min=1), required=True, help="Level N >= 1.")
+@click.option("--max-n", type=click.IntRange(min=0), required=True, help="Largest index n.")
 @_output_options("csv")
 def numbers(level, max_n, fmt, output, no_meta):
     """Numbers B[N,n] for n = 0..max-n, as exact reduced rationals."""
@@ -288,9 +276,9 @@ def numbers(level, max_n, fmt, output, no_meta):
 
 
 @cli.command()
-@click.option("--N", "level", type=int, required=True, callback=_positive, help="Level N >= 1.")
-@click.option("--r", "order_r", type=int, default=1, show_default=True, callback=_positive, help="Order r >= 1.")
-@click.option("--max-n", type=int, required=True, callback=_nonnegative, help="Largest index n.")
+@click.option("--N", "level", type=click.IntRange(min=1), required=True, help="Level N >= 1.")
+@click.option("--r", "order_r", type=click.IntRange(min=1), default=1, show_default=True, help="Order r >= 1.")
+@click.option("--max-n", type=click.IntRange(min=0), required=True, help="Largest index n.")
 @_output_options("csv")
 def polys(level, order_r, max_n, fmt, output, no_meta):
     """Polynomial tables, one row per index with ascending coefficients."""
@@ -305,8 +293,8 @@ def polys(level, order_r, max_n, fmt, output, no_meta):
 
 
 @cli.command()
-@click.option("--N", "level", type=int, required=True, callback=_positive, help="Level N >= 1.")
-@click.option("--r", "order_r", type=int, required=True, callback=_positive, help="Order r >= 1.")
+@click.option("--N", "level", type=click.IntRange(min=1), required=True, help="Level N >= 1.")
+@click.option("--r", "order_r", type=click.IntRange(min=1), required=True, help="Order r >= 1.")
 @click.option(
     "--subst-s",
     default=None,
@@ -357,9 +345,9 @@ def _parse_fault(_ctx, _param, value):
     type=click.Choice(ALL_SUITES),
     help="Suite(s) to run; repeatable. Default: all suites.",
 )
-@click.option("--N-max", "N_max", type=int, default=None, callback=_positive)
-@click.option("--r-max", "r_max", type=int, default=None, callback=_positive)
-@click.option("--n-max", "n_max", type=int, default=None, callback=_nonnegative)
+@click.option("--N-max", "N_max", type=click.IntRange(min=1), default=None)
+@click.option("--r-max", "r_max", type=click.IntRange(min=1), default=None)
+@click.option("--n-max", "n_max", type=click.IntRange(min=0), default=None)
 @click.option(
     "--mode",
     type=click.Choice(MODES),
@@ -368,7 +356,7 @@ def _parse_fault(_ctx, _param, value):
     help="Point strategy for the polynomial sums-of-products family.",
 )
 @click.option("--seed", type=int, default=42, show_default=True)
-@click.option("--sample-count", type=int, default=64, show_default=True, callback=_positive)
+@click.option("--sample-count", type=click.IntRange(min=1), default=64, show_default=True)
 @click.option(
     "--inject-fault",
     callback=_parse_fault,

@@ -31,7 +31,6 @@ from .algebra import (
     PowerSeries,
     UniPoly,
     bipoly_shift_s,
-    exp_series,
     poly_derivative,
     series_invert,
     series_pow,
@@ -96,12 +95,10 @@ def normalized_denominator(N: int, order: int) -> PowerSeries:
 
     This is the exponential series with its degree-(N-1) Taylor polynomial
     removed, shifted down by the valuation N and rescaled by N!; its
-    reciprocal generates the level-N numbers.
+    reciprocal generates the level-N numbers.  N!/(N+k)! is 1/perm(N+k, k).
     """
     _check_level_order(N, order)
-    e = exp_series(order + N)
-    scale = math.factorial(N)
-    return PowerSeries(tuple(scale * c for c in e.coeffs[N:]))
+    return PowerSeries(tuple(Fraction(1, math.perm(N + k, k)) for k in range(order + 1)))
 
 
 def hb_numbers(N: int, n_max: int) -> HBNumberTable:

@@ -40,7 +40,6 @@ from .core import (
     HBPolyTable,
     a_poly,
     a_poly_at_zero,
-    hb_higher_numbers,
     hb_higher_polys_recurrence,
     hb_higher_polys_series,
     hb_numbers,
@@ -202,11 +201,6 @@ def _random_rational(rng: random.Random) -> Fraction:
     return Fraction(rng.randint(-100, 100), rng.randint(1, 100))
 
 
-def _sub_s_value(N: int, r: int, n: int) -> int:
-    """The integer substituted for s when the expansion is applied at index n."""
-    return 1 + N * (r - 1) - n
-
-
 def perturbed_numbers(N: int, k: int, n_top: int) -> HBNumberTable:
     """Number table with B[N,k] bumped by +1, for fault-sensitivity tests."""
     if k < 2:
@@ -222,6 +216,40 @@ def perturbed_numbers(N: int, k: int, n_top: int) -> HBNumberTable:
 # ---------------------------------------------------------------------------
 
 
+def _closed_form(N: int, r: int, n: int, entries, polys) -> UniPoly:
+    """The sums-of-products closed form as one polynomial in the summed point:
+
+        N^(1-r) sum_i (-1)^i C(n,i) i! A_r(i, x; s) B_{n-i}(x),
+
+    with s = 1 + N(r-1) - n substituted into each coefficient entry."""
+    s_val = 1 + N * (r - 1) - n
+    acc = UniPoly()
+    for i, entry in enumerate(entries):
+        weight = (-1) ** i * math.comb(n, i) * math.factorial(i)
+        acc = acc + weight * (bipoly_subst_s(entry, s_val) * polys[n - i])
+    return acc * Fraction(1, N ** (r - 1))
+
+
+def _first_mismatch(evaluator: _MultinomialEvaluator, points, sides):
+    """Compare the multinomial sum at each point with every side polynomial
+    at the point's coordinate sum.
+
+    Returns the number of points checked and the first (point, lhs, side
+    values) where some side differs, or None.  Side values are computed once
+    per coordinate sum.
+    """
+    side_values: dict = {}
+    checked = 0
+    for point, lhs in evaluator.evaluate(points):
+        checked += 1
+        x_sum = sum(point)
+        if x_sum not in side_values:
+            side_values[x_sum] = [poly_eval(side, x_sum) for side in sides]
+        if any(v != lhs for v in side_values[x_sum]):
+            return checked, (point, lhs, side_values[x_sum])
+    return checked, None
+
+
 def check_kamano(N: int, r: int, n: int) -> VerifyReport:
     """Number sums-of-products: the multinomial convolution of r level-N
     number sequences against its closed form with x-free coefficient
@@ -230,45 +258,16 @@ def check_kamano(N: int, r: int, n: int) -> VerifyReport:
     if n < r - 1:
         raise ValueError(f"identity requires n >= r-1 (got n={n}, r={r})")
     params = {"N": N, "r": r, "n": n}
-    values = hb_numbers(N, n).values
     # the numbers as constant polynomials, so the convolution runs on integers
-    evaluator = _MultinomialEvaluator([UniPoly((v,)) for v in values], n)
-    ((_, lhs),) = evaluator.evaluate([(0,) * r])
-
-    s_val = _sub_s_value(N, r, n)
-    entries = a_poly_at_zero(N, r).entries
-    rhs = Fraction(0)
-    for i, entry in enumerate(entries):
-        a_val = poly_eval(bipoly_subst_s(entry, s_val), 0)
-        rhs += a_val * (-1) ** i * math.comb(n, i) * math.factorial(i) * values[n - i]
-    rhs /= Fraction(N) ** (r - 1)
-
-    if lhs == rhs:
+    # and the closed form is the polynomial one taken at x = 0
+    polys = [UniPoly((v,)) for v in hb_numbers(N, n).values]
+    rhs = _closed_form(N, r, n, a_poly_at_zero(N, r).entries, polys)
+    _, mismatch = _first_mismatch(_MultinomialEvaluator(polys, n), [(0,) * r], [rhs])
+    if mismatch is None:
         return VerifyReport("kamano", params, PASS, 1)
-    counter = {"lhs": format_rational(lhs), "rhs": format_rational(rhs)}
+    _, lhs, (rhs_val,) = mismatch
+    counter = {"lhs": format_rational(lhs), "rhs": format_rational(rhs_val)}
     return VerifyReport("kamano", params, FAIL, 1, counterexample=counter)
-
-
-def _sums_rhs_fn(N: int, r: int, n: int, polys1):
-    """RHS of the polynomial sums-of-products identity as a function of the
-    summed evaluation point."""
-    s_val = _sub_s_value(N, r, n)
-    a_sub = [bipoly_subst_s(e, s_val) for e in a_poly(N, r).entries]
-    scale = Fraction(1, N ** (r - 1))
-
-    def rhs_at(x: Fraction) -> Fraction:
-        acc = Fraction(0)
-        for i, a in enumerate(a_sub):
-            acc += (
-                poly_eval(a, x)
-                * (-1) ** i
-                * math.comb(n, i)
-                * math.factorial(i)
-                * poly_eval(polys1[n - i], x)
-            )
-        return acc * scale
-
-    return rhs_at
 
 
 def check_sums_of_products(
@@ -298,8 +297,7 @@ def check_sums_of_products(
     params = {"N": N, "r": r, "n": n}
     polys1 = hb_polys(N, n).polys
     higher = hb_higher_polys_series(N, r, n).polys[n]
-    rhs_at = _sums_rhs_fn(N, r, n, polys1)
-    evaluator = _MultinomialEvaluator(polys1, n)
+    rhs = _closed_form(N, r, n, a_poly(N, r).entries, polys1)
 
     if mode == "grid":
         details = {"mode": "grid"}
@@ -317,29 +315,19 @@ def check_sums_of_products(
         }
 
     # the collapsed side and the closed form depend on the point only through
-    # its sum; the direct side is still compared at every point
-    side_cache: dict = {}
-    checked = 0
-    counter = None
-    for point, lhs_direct in evaluator.evaluate(points):
-        checked += 1
-        x_sum = sum(point)
-        if x_sum not in side_cache:
-            xf = Fraction(x_sum)
-            side_cache[x_sum] = (poly_eval(higher, xf), rhs_at(xf))
-        lhs_collapsed, rhs = side_cache[x_sum]
-        if not lhs_direct == lhs_collapsed == rhs:
-            counter = {
-                "x_points": [format_rational(p) for p in point],
-                "x_sum": format_rational(x_sum),
-                "lhs_direct": format_rational(lhs_direct),
-                "lhs_collapsed": format_rational(lhs_collapsed),
-                "rhs": format_rational(rhs),
-            }
-            break
-
-    status = PASS if counter is None else FAIL
-    return VerifyReport("sums", params, status, checked, counterexample=counter, details=details)
+    # its sum; the direct side is still computed at every point
+    checked, mismatch = _first_mismatch(_MultinomialEvaluator(polys1, n), points, [higher, rhs])
+    if mismatch is None:
+        return VerifyReport("sums", params, PASS, checked, details=details)
+    point, lhs_direct, (lhs_collapsed, rhs_val) = mismatch
+    counter = {
+        "x_points": [format_rational(p) for p in point],
+        "x_sum": format_rational(sum(point)),
+        "lhs_direct": format_rational(lhs_direct),
+        "lhs_collapsed": format_rational(lhs_collapsed),
+        "rhs": format_rational(rhs_val),
+    }
+    return VerifyReport("sums", params, FAIL, checked, counterexample=counter, details=details)
 
 
 def check_two_three_sums(N: int, n: int) -> VerifyReport:
@@ -363,46 +351,30 @@ def check_two_three_sums(N: int, n: int) -> VerifyReport:
     evaluator = _MultinomialEvaluator(polys1, n)
 
     b_n, b_n1 = polys1[n], polys1[n - 1]
-    b_n2 = polys1[n - 2] if n >= 2 else None
-
-    def rhs_two(x: Fraction) -> Fraction:
-        return (
-            Fraction(N - n, N) * poly_eval(b_n, x)
-            + Fraction(n, N) * (x - 1) * poly_eval(b_n1, x)
+    x_1, x_2 = UniPoly((-1, 1)), UniPoly((-2, 1))  # x - 1, x - 2
+    closed_forms = {2: Fraction(N - n, N) * b_n + Fraction(n, N) * (x_1 * b_n1)}
+    if n >= 2:
+        closed_forms[3] = Fraction(1, 2 * N * N) * (
+            (N - n) * (2 * N - n) * b_n
+            + n * (((2 * N - n) * x_1 + (N - n + 1) * x_2) * b_n1)
+            + n * (n - 1) * (x_1 * x_2 * polys1[n - 2])
         )
-
-    def rhs_three(x: Fraction) -> Fraction:
-        acc = Fraction((N - n) * (2 * N - n)) * poly_eval(b_n, x)
-        acc += (
-            n
-            * ((2 * N - n) * (x - 1) + (x - 2) * (N - n + 1))
-            * poly_eval(b_n1, x)
-        )
-        acc += n * (n - 1) * (x - 1) * (x - 2) * poly_eval(b_n2, x)
-        return acc / (2 * N * N)
 
     checked = 0
-    counter = None
-    closed_forms = {2: rhs_two, 3: rhs_three} if n >= 2 else {2: rhs_two}
     for fold, closed_form in closed_forms.items():
-        rhs_at = [closed_form(Fraction(x)) for x in range(fold * n + 1)]
         points = itertools.combinations_with_replacement(range(n + 1), fold)
-        for point, lhs in evaluator.evaluate(points):
-            checked += 1
-            rhs = rhs_at[sum(point)]
-            if lhs != rhs:
-                counter = {
-                    "fold": fold,
-                    "x_points": [str(g) for g in point],
-                    "lhs": format_rational(lhs),
-                    "rhs": format_rational(rhs),
-                }
-                break
-        if counter is not None:
-            break
-
-    status = PASS if counter is None else FAIL
-    return VerifyReport("two-three", params, status, checked, counterexample=counter)
+        fold_checked, mismatch = _first_mismatch(evaluator, points, [closed_form])
+        checked += fold_checked
+        if mismatch is not None:
+            point, lhs, (rhs,) = mismatch
+            counter = {
+                "fold": fold,
+                "x_points": [str(g) for g in point],
+                "lhs": format_rational(lhs),
+                "rhs": format_rational(rhs),
+            }
+            return VerifyReport("two-three", params, FAIL, checked, counterexample=counter)
+    return VerifyReport("two-three", params, PASS, checked)
 
 
 def check_ode(N: int, r: int, n: int, numbers: HBNumberTable | None = None) -> VerifyReport:
@@ -526,13 +498,15 @@ def check_appell_basics(N: int, r: int, n_max: int) -> VerifyReport:
 
     Bundles: the derivative chain (the p-th derivative of index n equals
     n!/(n-p)! times index n-p, for all 0 <= p <= n), monicity with the exact
-    degree, value-at-zero consistency with the number table, and (order 1
-    only) the weighted zero-mean condition: the (1-x)^(N-1)-weighted integral
-    over [0,1] is 1/N at n = 0 and 0 for n > 0.
+    degree, value at zero against the constant term of the recurrence route
+    (the series table takes its constant terms from the order-r numbers, so
+    comparing with those would compare the series route with itself), and
+    (order 1 only) the weighted zero-mean condition: the (1-x)^(N-1)-weighted
+    integral over [0,1] is 1/N at n = 0 and 0 for n > 0.
     """
     params = {"N": N, "r": r, "n_max": n_max}
     table = hb_higher_polys_series(N, r, n_max)
-    values = hb_higher_numbers(N, r, n_max).values
+    values = [poly_eval(p, 0) for p in hb_higher_polys_recurrence(N, r, n_max).polys]
 
     checked = 0
 

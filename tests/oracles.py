@@ -2,7 +2,8 @@
 
 The classical Bernoulli numbers come from the binomial-sum recurrence, the
 multinomial sums from literal composition enumeration, and the weighted
-moments from the Beta-function closed form.  Two former package builders are
+moments from the Beta-function closed form.  The rising factorial and the
+x-substitution of a bivariate polynomial serve only tests.  Two former package builders are
 kept here as references for the integer engines that replaced them: the
 number table by exact series inversion, and the order-r recurrence in
 Fraction arithmetic.
@@ -13,7 +14,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-from hyperbern.algebra import UniPoly, series_invert
+from hyperbern.algebra import BiPoly, UniPoly, series_invert
 from hyperbern.core import HBNumberTable, normalized_denominator
 
 
@@ -103,3 +104,26 @@ def beta_moment(k: int, n_weight: int) -> Fraction:
         math.factorial(k) * math.factorial(n_weight - 1),
         math.factorial(k + n_weight),
     )
+
+
+def pochhammer(a: int | Fraction, n: int) -> Fraction:
+    """Rising factorial a(a+1)...(a+n-1), with the empty product equal to 1."""
+    if n < 0:
+        raise ValueError("n must be nonnegative")
+    result = Fraction(1)
+    for k in range(n):
+        result *= a + k
+    return result
+
+
+def bipoly_subst_x(a: BiPoly, xval: int | Fraction) -> UniPoly:
+    """Substitute a rational value for x, leaving a polynomial in s."""
+    if a.is_zero:
+        return UniPoly()
+    out = [Fraction(0)] * len(a.coeffs[0])
+    power = Fraction(1)
+    for row in a.coeffs:
+        for j, c in enumerate(row):
+            out[j] += c * power
+        power *= xval
+    return UniPoly(tuple(out))

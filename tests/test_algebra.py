@@ -12,46 +12,22 @@ from hyperbern.algebra import (
     UniPoly,
     bipoly_shift_s,
     bipoly_subst_s,
-    bipoly_subst_x,
-    exp_series,
     format_rational,
     parse_rational,
-    pochhammer,
     poly_derivative,
     poly_eval,
     poly_integral_weighted,
-    rat,
     series_invert,
     series_mul,
     series_pow,
     series_truncate,
 )
-from oracles import beta_moment
+from oracles import beta_moment, bipoly_subst_x, pochhammer
 
 rationals = st.fractions(min_value=-50, max_value=50, max_denominator=20)
 
 
 # --- rationals -------------------------------------------------------------
-
-
-def test_rat_reduces():
-    assert rat(2, 4) == Fraction(1, 2)
-
-
-def test_rat_sign_normalization():
-    q = rat(-3, -6)
-    assert q == Fraction(1, 2)
-    assert q.denominator > 0 and q.numerator == 1
-
-
-def test_rat_zero():
-    q = rat(0, 5)
-    assert q.numerator == 0 and q.denominator == 1
-
-
-def test_rat_zero_denominator():
-    with pytest.raises(ZeroDivisionError):
-        rat(1, 0)
 
 
 @given(rationals)
@@ -165,7 +141,8 @@ def test_series_mul_cases():
     assert series_mul(series([1, 1, 0]), series([1, -1, 0])).coeffs == (1, 0, -1)
     a = series([2, 3, 5])
     assert series_mul(a, PowerSeries.one(2)) == a
-    ee = series_mul(exp_series(3), exp_series(3))
+    e3 = series([1, 1, Fraction(1, 2), Fraction(1, 6)])  # e**t through t**3
+    ee = series_mul(e3, e3)
     assert ee.coeffs == (1, 2, 2, Fraction(4, 3))
 
 
@@ -237,12 +214,6 @@ def test_series_truncate():
     assert series_truncate(a, 1).coeffs == (1, 2)
     with pytest.raises(ValueError):
         series_truncate(a, 5)
-
-
-def test_exp_series_cases():
-    assert exp_series(0).coeffs == (1,)
-    assert exp_series(3).coeffs == (1, 1, Fraction(1, 2), Fraction(1, 6))
-    assert exp_series(5).coeffs[5] == Fraction(1, 120)
 
 
 def test_pochhammer_cases():

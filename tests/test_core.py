@@ -9,8 +9,6 @@ from hyperbern import algebra, core
 from hyperbern.algebra import (
     UniPoly,
     bipoly_subst_s,
-    bipoly_subst_x,
-    pochhammer,
     poly_derivative,
     poly_eval,
     poly_integral_weighted,
@@ -31,9 +29,11 @@ from hyperbern.core import (
 from hyperbern.identities import perturbed_numbers
 from oracles import (
     CLASSICAL_BERNOULLI_POLYS,
+    bipoly_subst_x,
     classical_bernoulli,
     hb_higher_polys_recurrence_fractions,
     hb_numbers_by_inversion,
+    pochhammer,
 )
 
 
@@ -123,16 +123,25 @@ def test_numbers_match_series_inversion(level, n_max):
 
 def test_numbers_match_sympy_series():
     # an oracle outside the package: n! [t^n] of (t^N/N!) / (e^t - T_{N-1}(t)),
-    # T_{N-1} the degree-(N-1) Taylor polynomial of e^t, expanded by sympy
-    sympy = pytest.importorskip("sympy")
-    t = sympy.Symbol("t")
+    # T_{N-1} the degree-(N-1) Taylor polynomial of e^t, expanded by sympy's
+    # ring series over QQ
+    pytest.importorskip("sympy")
+    from sympy import QQ
+    from sympy.polys.ring_series import rs_exp, rs_series_inversion, rs_trunc
+    from sympy.polys.rings import ring
+
+    _, t = ring("t", QQ)
     for level in range(1, 6):
-        taylor = sum(t**k / sympy.factorial(k) for k in range(level))
-        expr = t**level / sympy.factorial(level) / (sympy.exp(t) - taylor)
-        series = sympy.series(expr, t, 0, 41).removeO()
+        e = rs_exp(t, t, 41 + level)
+        # N! (e^t - T_{N-1}(t)) / t^N, whose reciprocal is the series above
+        d = (e - rs_trunc(e, t, level)).exquo(t**level) * math.factorial(level)
+        series = rs_series_inversion(d, t, 41)
         for n, value in enumerate(hb_numbers(level, 40).values):
-            expected = series.coeff(t, n) * sympy.factorial(n)
-            assert value == Fraction(int(expected.p), int(expected.q)), (level, n)
+            expected = series.coeff(t**n) * math.factorial(n)
+            assert value == Fraction(int(expected.numerator), int(expected.denominator)), (
+                level,
+                n,
+            )
 
 
 def test_level_one_numbers_match_sympy_bernoulli():

@@ -5,9 +5,9 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from hyperbern import identities
+from hyperbern import core, identities
 from hyperbern.algebra import UniPoly, poly_eval
-from hyperbern.core import HBPolyTable, hb_numbers, hb_polys
+from hyperbern.core import HBNumberTable, HBPolyTable, a_poly, hb_numbers, hb_polys
 from hyperbern.identities import (
     ALL_SUITES,
     FAIL,
@@ -15,7 +15,7 @@ from hyperbern.identities import (
     SKIPPED,
     SuiteConfig,
     _MultinomialEvaluator,
-    _sums_rhs_fn,
+    _closed_form,
     check_appell_basics,
     check_genfun_ode,
     check_kamano,
@@ -111,6 +111,22 @@ def test_kamano_against_bruteforce_range(level, order):
         assert list(ev.evaluate([(0,) * order])) == [((0,) * order, direct)]
 
 
+def test_kamano_failure_path_is_pinned(monkeypatch):
+    exact = identities.hb_numbers
+
+    def bumped(N, n):
+        table = exact(N, n)
+        values = list(table.values)
+        values[2] += 1
+        return HBNumberTable(N=table.N, values=tuple(values))
+
+    monkeypatch.setattr(identities, "hb_numbers", bumped)
+    rep = check_kamano(2, 3, 4)
+    assert rep.status == FAIL
+    assert rep.cells_checked == 1
+    assert rep.counterexample == {"lhs": "1088/45", "rhs": "143/45"}
+
+
 # --- polynomial identity --------------------------------------------------------
 
 
@@ -199,13 +215,13 @@ def test_sums_rhs_matches_two_fold_closed_form():
     # at order 2 the expansion collapses to the explicit two-fold form
     level, n = 3, 5
     polys1 = hb_polys(level, n).polys
-    rhs_at = _sums_rhs_fn(level, 2, n, polys1)
+    rhs = _closed_form(level, 2, n, a_poly(level, 2).entries, polys1)
     for x in [Fraction(0), Fraction(1), Fraction(-3, 2), Fraction(7, 4)]:
         expected = (
             Fraction(level - n, level) * poly_eval(polys1[n], x)
             + Fraction(n, level) * (x - 1) * poly_eval(polys1[n - 1], x)
         )
-        assert rhs_at(x) == expected
+        assert poly_eval(rhs, x) == expected
 
 
 # --- explicit two- and three-fold forms ------------------------------------------
@@ -334,6 +350,26 @@ def test_logderiv_constant_term():
 @pytest.mark.parametrize("level,order", [(1, 1), (3, 1), (2, 3)])
 def test_appell_basics_pass(level, order):
     assert check_appell_basics(level, order, 12).status == PASS
+
+
+def test_appell_value_at_zero_reads_another_route(monkeypatch):
+    # a wrong order-r number B^(r)[N,3] reaches the series table's constant
+    # term.  It is patched wherever the check could read it, so only a route
+    # that does not go through the order-r numbers exposes it.
+    exact = core.hb_higher_numbers
+
+    def bumped(N, r, n_max):
+        table = exact(N, r, n_max)
+        values = list(table.values)
+        values[3] += 1
+        return HBNumberTable(N=table.N, values=tuple(values))
+
+    monkeypatch.setattr(core, "hb_higher_numbers", bumped)
+    monkeypatch.setattr(identities, "hb_higher_numbers", bumped, raising=False)
+    rep = check_appell_basics(2, 2, 6)
+    assert rep.status == FAIL
+    assert rep.counterexample["property"] == "value_at_zero"
+    assert rep.counterexample["n"] == 3
 
 
 # --- suite driver ------------------------------------------------------------------------
