@@ -17,9 +17,11 @@ from __future__ import annotations
 import hashlib
 import itertools
 import math
+import operator
 import random
 from collections.abc import Callable
-from dataclasses import dataclass
+from contextvars import ContextVar
+from dataclasses import dataclass, replace
 from fractions import Fraction
 
 from .algebra import (
@@ -35,6 +37,7 @@ from .algebra import (
     series_pow,
     series_truncate,
 )
+# the builders are also read by name through _table, so that a rebound name is seen
 from .core import (
     HBNumberTable,
     HBPolyTable,
@@ -110,8 +113,10 @@ class _MultinomialEvaluator:
     For a point x = a/b the vector entry p_i(x)/i! is represented as an
     integer u_i over the common scale M = D * n! * b^n (D clears every
     coefficient denominator), so the convolutions in the hot path run on
-    plain integers; the exact rational reappears in one division at the end.
-    The tests pin the result against brute-force composition enumeration.
+    plain integers.  :meth:`scaled_sums` yields each sum as an integer dot
+    product over its scale, which :func:`_first_mismatch` compares in
+    integers; :meth:`evaluate` divides them into one exact rational.  The
+    tests pin both against brute-force composition enumeration.
     """
 
     def __init__(self, polys, n: int):
@@ -129,16 +134,17 @@ class _MultinomialEvaluator:
         self.fall = [self.fact_n // math.factorial(i) for i in range(n + 1)]
         self._scaled: dict = {}  # coordinate -> (integer vector, its scale)
 
-    def evaluate(self, points):
-        """Yield (point, multinomial sum at the point) for each point of an
-        iterable of equal-length tuples of ints or Fractions, in order.
+    def scaled_sums(self, points):
+        """Yield (point, dot, scale) for each point of an iterable of
+        equal-length tuples of ints or Fractions, in order, where the
+        multinomial sum at the point is n! * dot / scale with integer dot.
 
         Each distinct coordinate x = a/b becomes, once per evaluator, an
         integer vector (entry i is p_i(x)/i! times its scale D * n! * b^n) and
         that scale.  Consecutive points share the convolution of their common
         leading coordinates: the stack holds the convolution of each leading
         run, the empty run being the unit, and is rebuilt only from the first
-        coordinate that changed.
+        coordinate that changed.  No Fraction is built.
         """
         n = self.n
 
@@ -175,8 +181,13 @@ class _MultinomialEvaluator:
             prev = point
             conv, m_total = stack[-1]
             u, m = scaled(point[-1])
-            dot = sum(c * v for c, v in zip(conv, reversed(u)))
-            yield point, Fraction(self.fact_n * dot, m_total * m)
+            yield point, sum(map(operator.mul, conv, reversed(u))), m_total * m
+
+    def evaluate(self, points):
+        """Yield (point, multinomial sum at the point) for each point, as
+        :meth:`scaled_sums` orders them, the sum as one exact Fraction."""
+        for point, dot, scale in self.scaled_sums(points):
+            yield point, Fraction(self.fact_n * dot, scale)
 
 
 def _int_conv_trunc(a: list[int], b: list[int], n: int) -> list[int]:
@@ -211,6 +222,49 @@ def perturbed_numbers(N: int, k: int, n_top: int) -> HBNumberTable:
     return HBNumberTable(N=N, values=tuple(values))
 
 
+# The tables of the suite run_suite is running; None outside a run, where
+# every check builds its tables afresh.  A context variable, so that runs in
+# different threads keep separate stores.
+_TABLES: ContextVar[dict | None] = ContextVar("hyperbern_tables", default=None)
+
+# builders whose last argument is a top index and whose table for a top is a
+# prefix of the table for any larger top, by the field holding the sequence
+_PREFIX_FIELD = {
+    "hb_numbers": "values",
+    "hb_polys": "polys",
+    "hb_higher_polys_series": "polys",
+    "hb_higher_polys_recurrence": "polys",
+}
+
+
+def _table(builder: str, *args):
+    """The table ``builder(*args)``, for the builder this module binds to
+    that name at call time (a tracer's wrapper or a test's patch included).
+
+    Inside :func:`run_suite` it comes from the current suite's store, keyed
+    by the builder object and its leading arguments, so no route reads
+    another's table.  A prefix-stable builder is built at the largest top
+    index asked for so far and smaller tops get a prefix of that table;
+    ``a_poly`` and ``a_poly_at_zero`` are built once per (N, r).
+    """
+    build = globals()[builder]
+    store = _TABLES.get()
+    if store is None:
+        return build(*args)
+    field = _PREFIX_FIELD.get(builder)
+    if field is None:
+        key = build, args
+        if key not in store:
+            store[key] = build(*args)
+        return store[key]
+    top = args[-1]
+    key = build, args[:-1]
+    table = store.get(key)
+    if table is None or len(getattr(table, field)) <= top:
+        table = store[key] = build(*args)
+    return replace(table, **{field: getattr(table, field)[: top + 1]})
+
+
 # ---------------------------------------------------------------------------
 # individual checks
 # ---------------------------------------------------------------------------
@@ -230,23 +284,59 @@ def _closed_form(N: int, r: int, n: int, entries, polys) -> UniPoly:
     return acc * Fraction(1, N ** (r - 1))
 
 
+def _integer_poly(p: UniPoly) -> tuple[list[int], int]:
+    """p as integer coefficients over one positive denominator (the zero
+    polynomial as [0] over 1)."""
+    d = math.lcm(*(c.denominator for c in p.coeffs))
+    return [c.numerator * (d // c.denominator) for c in p.coeffs] or [0], d
+
+
+def _dot_target(int_sides, x_sum, scale: int, fact_n: int) -> int | None:
+    """The integer that dot must be for n! * dot / scale to equal every side
+    at x_sum, or None if no integer is (a side needs a non-integer, or two
+    sides need different ones).
+
+    A side c_k / d (k = 0..deg) at x_sum = a/b is H / (d * b^deg) with
+    H = sum_k c_k a^k b^(deg-k) by Horner's scheme in integers, so the dot it
+    needs is H * scale / (n! * d * b^deg)."""
+    a, b = x_sum.numerator, x_sum.denominator
+    wanted = set()
+    for coeffs, d in int_sides:
+        h, bpow = 0, 1
+        for c in reversed(coeffs):
+            h = h * a + c * bpow
+            bpow *= b
+        q, rem = divmod(h * scale, fact_n * d * (bpow // b))  # bpow = b^(deg+1)
+        wanted.add(None if rem else q)
+    return wanted.pop() if len(wanted) == 1 else None
+
+
 def _first_mismatch(evaluator: _MultinomialEvaluator, points, sides):
     """Compare the multinomial sum at each point with every side polynomial
-    at the point's coordinate sum.
+    at the point's coordinate sum, in integers.
+
+    Each side is converted once to integer coefficients over one
+    denominator.  The evaluator gives each sum as n! * dot / scale; for each
+    (coordinate sum, scale) the integer target dot must equal is computed
+    once (see :func:`_dot_target`), so a point costs one integer comparison,
+    and a point whose target is not an integer is a mismatch.  Fractions are
+    built only for the counterexample.
 
     Returns the number of points checked and the first (point, lhs, side
-    values) where some side differs, or None.  Side values are computed once
-    per coordinate sum.
+    values) where some side differs, or None.
     """
-    side_values: dict = {}
+    int_sides = [_integer_poly(side) for side in sides]
+    targets: dict = {}
     checked = 0
-    for point, lhs in evaluator.evaluate(points):
+    for point, dot, scale in evaluator.scaled_sums(points):
         checked += 1
         x_sum = sum(point)
-        if x_sum not in side_values:
-            side_values[x_sum] = [poly_eval(side, x_sum) for side in sides]
-        if any(v != lhs for v in side_values[x_sum]):
-            return checked, (point, lhs, side_values[x_sum])
+        key = x_sum, scale
+        if key not in targets:
+            targets[key] = _dot_target(int_sides, x_sum, scale, evaluator.fact_n)
+        if dot != targets[key]:
+            lhs = Fraction(evaluator.fact_n * dot, scale)
+            return checked, (point, lhs, [poly_eval(side, x_sum) for side in sides])
     return checked, None
 
 
@@ -260,8 +350,8 @@ def check_kamano(N: int, r: int, n: int) -> VerifyReport:
     params = {"N": N, "r": r, "n": n}
     # the numbers as constant polynomials, so the convolution runs on integers
     # and the closed form is the polynomial one taken at x = 0
-    polys = [UniPoly((v,)) for v in hb_numbers(N, n).values]
-    rhs = _closed_form(N, r, n, a_poly_at_zero(N, r).entries, polys)
+    polys = [UniPoly((v,)) for v in _table("hb_numbers", N, n).values]
+    rhs = _closed_form(N, r, n, _table("a_poly_at_zero", N, r).entries, polys)
     _, mismatch = _first_mismatch(_MultinomialEvaluator(polys, n), [(0,) * r], [rhs])
     if mismatch is None:
         return VerifyReport("kamano", params, PASS, 1)
@@ -295,9 +385,9 @@ def check_sums_of_products(
     if mode not in ("grid", "sample"):
         raise ValueError(f"unknown mode {mode!r}")
     params = {"N": N, "r": r, "n": n}
-    polys1 = hb_polys(N, n).polys
-    higher = hb_higher_polys_series(N, r, n).polys[n]
-    rhs = _closed_form(N, r, n, a_poly(N, r).entries, polys1)
+    polys1 = _table("hb_polys", N, n).polys
+    higher = _table("hb_higher_polys_series", N, r, n).polys[n]
+    rhs = _closed_form(N, r, n, _table("a_poly", N, r).entries, polys1)
 
     if mode == "grid":
         details = {"mode": "grid"}
@@ -347,7 +437,7 @@ def check_two_three_sums(N: int, n: int) -> VerifyReport:
     if n < 1:
         raise ValueError(f"identity requires n >= 1 (got n={n})")
     params = {"N": N, "n": n}
-    polys1 = hb_polys(N, n).polys
+    polys1 = _table("hb_polys", N, n).polys
     evaluator = _MultinomialEvaluator(polys1, n)
 
     b_n, b_n1 = polys1[n], polys1[n - 1]
@@ -388,8 +478,8 @@ def check_ode(N: int, r: int, n: int, numbers: HBNumberTable | None = None) -> V
     if n < 1:
         raise ValueError(f"ODE check requires n >= 1 (got n={n})")
     params = {"N": N, "r": r, "n": n}
-    values = (numbers or hb_numbers(N, n)).values
-    y = hb_higher_polys_series(N, r, n).polys[n]
+    values = (numbers or _table("hb_numbers", N, n)).values
+    y = _table("hb_higher_polys_series", N, r, n).polys[n]
 
     residual = Fraction(n, r * N) * y
     yp = poly_derivative(y)
@@ -415,10 +505,13 @@ def check_recurrence_paths(
     order-raising step from the order-1 table.  An injected ``numbers`` table
     feeds only the recurrence path."""
     params = {"N": N, "r": r, "n_max": n_max}
-    series_polys = hb_higher_polys_series(N, r, n_max).polys
-    rec_polys = hb_higher_polys_recurrence(N, r, n_max, numbers=numbers).polys
+    series_polys = _table("hb_higher_polys_series", N, r, n_max).polys
+    if numbers is None:
+        rec_polys = _table("hb_higher_polys_recurrence", N, r, n_max).polys
+    else:
+        rec_polys = hb_higher_polys_recurrence(N, r, n_max, numbers=numbers).polys
 
-    step_table = hb_polys(N, n_max)
+    step_table = _table("hb_polys", N, n_max)
     for _ in range(r - 1):
         step_table = HBPolyTable(
             N=N,
@@ -479,7 +572,7 @@ def check_logderiv(N: int, r: int, order: int) -> VerifyReport:
     a_inv = series_invert(series_truncate(a, order))
     lhs = series_mul(PowerSeries(tuple(a_prime)), a_inv).coeffs
 
-    values = hb_numbers(N, order + 1).values
+    values = _table("hb_numbers", N, order + 1).values
     rhs = [Fraction(-r, N + 1)]
     for m in range(1, order + 1):
         rhs.append(-r * N * values[m + 1] / ((m + 1) * math.factorial(m)))
@@ -505,8 +598,8 @@ def check_appell_basics(N: int, r: int, n_max: int) -> VerifyReport:
     integral over [0,1] is 1/N at n = 0 and 0 for n > 0.
     """
     params = {"N": N, "r": r, "n_max": n_max}
-    table = hb_higher_polys_series(N, r, n_max)
-    values = [poly_eval(p, 0) for p in hb_higher_polys_recurrence(N, r, n_max).polys]
+    table = _table("hb_higher_polys_series", N, r, n_max)
+    values = [poly_eval(p, 0) for p in _table("hb_higher_polys_recurrence", N, r, n_max).polys]
 
     checked = 0
 
@@ -711,10 +804,12 @@ def run_suite(config: SuiteConfig = SuiteConfig()) -> list[VerifyReport]:
     """Run the selected suites over their ranges; deterministic given the seed.
 
     Cells whose preconditions fail are reported as skipped, never as passed.
-    Reports come back sorted by (suite, N, r, index).  A fault B[N,k] is read
-    only by injectable cells at level N with index >= k; a run without such a
-    cell raises :class:`UnreadFault`, as it would pass whether or not the
-    fault trips.  A selected suite whose every cell would be skipped raises
+    Reports come back sorted by (suite, N, r, index).  Each suite builds
+    each table once per builder and leading arguments and slices it for
+    smaller indices; the tables are dropped when the suite ends.  A fault
+    B[N,k] is read only by injectable cells at level N with index >= k; a
+    run without such a cell raises :class:`UnreadFault`, as it would pass
+    whether or not the fault trips.  A selected suite whose every cell would be skipped raises
     :class:`EmptySuite`, as it would check nothing.
     """
     jobs = sorted(
@@ -732,10 +827,19 @@ def run_suite(config: SuiteConfig = SuiteConfig()) -> list[VerifyReport]:
             SUITES[name].injectable and cell[0] == level and cell[-1] >= k for name, cell in jobs
         ):
             raise UnreadFault(f"no cell of the run reads the faulted number B[{level},{k}]")
-    return [
-        _check_cell(SUITES[name], dict(zip(SUITES[name].params, cell)), config)
-        for name, cell in jobs
-    ]
+    reports = {}
+    for name in config.suites:
+        suite = SUITES[name]
+        cells = [cell for job, cell in jobs if job == name]
+        # one store per suite; largest index first, so that smaller cells
+        # slice tables already built
+        token = _TABLES.set({})
+        try:
+            for cell in sorted(cells, key=lambda cell: -cell[-1]):
+                reports[name, cell] = _check_cell(suite, dict(zip(suite.params, cell)), config)
+        finally:
+            _TABLES.reset(token)
+    return [reports[job] for job in jobs]
 
 
 def replay(report: VerifyReport, fault: tuple[int, int] | None = None) -> bool:

@@ -1,4 +1,7 @@
 import math
+import sys
+from collections import Counter
+from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 
 import pytest
@@ -7,15 +10,25 @@ from hypothesis import strategies as st
 
 from hyperbern import core, identities
 from hyperbern.algebra import UniPoly, poly_eval
-from hyperbern.core import HBNumberTable, HBPolyTable, a_poly, hb_numbers, hb_polys
+from hyperbern.core import (
+    HBNumberTable,
+    HBPolyTable,
+    a_poly,
+    hb_higher_polys_series,
+    hb_numbers,
+    hb_polys,
+)
 from hyperbern.identities import (
     ALL_SUITES,
     FAIL,
     PASS,
     SKIPPED,
+    SUITES,
     SuiteConfig,
     _MultinomialEvaluator,
+    _check_cell,
     _closed_form,
+    _first_mismatch,
     check_appell_basics,
     check_genfun_ode,
     check_kamano,
@@ -67,6 +80,52 @@ def test_evaluate_any_point_order(n, points):
     for point, value in out:
         plain = [[poly_eval(p, Fraction(x)) for p in polys] for x in point]
         assert value == multinomial_sum_bruteforce(plain, n)
+
+
+def _fraction_walk(polys, n, points, sides):
+    """_first_mismatch's contract in plain Fractions: brute-force left side,
+    Horner-evaluated sides."""
+    for checked, point in enumerate(points, 1):
+        plain = [[poly_eval(p, Fraction(x)) for p in polys] for x in point]
+        lhs = multinomial_sum_bruteforce(plain, n)
+        values = [poly_eval(side, sum(point)) for side in sides]
+        if any(v != lhs for v in values):
+            return checked, (point, lhs, values)
+    return checked, None
+
+
+@st.composite
+def _walks(draw):
+    level = draw(st.integers(min_value=1, max_value=3))
+    n = draw(st.integers(min_value=0, max_value=5))
+    fold = draw(st.integers(min_value=1, max_value=3))
+    points = draw(st.lists(st.tuples(*[_pooled] * fold), min_size=1, max_size=6))
+    # the r-fold sum of order-1 values is the order-r polynomial at the summed point
+    exact = hb_higher_polys_series(level, fold, n).polys[n]
+
+    def right_until(k, q):
+        # right at the sums of the first k points, wrong elsewhere
+        vanish = UniPoly((1,))
+        for point in points[:k]:
+            vanish = vanish * UniPoly((-sum(point), 1))
+        return exact + q * vanish
+
+    side = st.one_of(
+        st.just(exact),
+        # a shift by 1/p makes the integer target a non-integer
+        st.just(exact + UniPoly((Fraction(1, 1_000_000_007),))),
+        st.builds(right_until, st.integers(0, len(points)), rationals),
+        st.lists(rationals, max_size=n + 2).map(lambda c: UniPoly(tuple(c))),
+    )
+    sides = draw(st.lists(side, min_size=1, max_size=2))
+    return hb_polys(level, n).polys, n, points, sides
+
+
+@given(_walks())
+def test_integer_walk_matches_fraction_walk(walk):
+    polys, n, points, sides = walk
+    got = _first_mismatch(_MultinomialEvaluator(polys, n), points, sides)
+    assert got == _fraction_walk(polys, n, points, sides)
 
 
 # --- number identity ----------------------------------------------------------
@@ -437,3 +496,82 @@ def test_replay_of_passing_reports():
 def test_all_suites_cover_registry():
     reports = run_suite(SuiteConfig(N_max=1, r_max=1, n_max=4))
     assert {r.identity_name for r in reports} == set(ALL_SUITES)
+
+
+# --- table store --------------------------------------------------------------------------
+
+
+def _count_builds(monkeypatch, key_len):
+    """Count the calls of each builder the checks read, by builder and its
+    first ``key_len[builder]`` arguments."""
+    builds = Counter()
+    for name, n_key in key_len.items():
+        exact = getattr(identities, name)
+
+        def counted(*args, _name=name, _exact=exact, _n_key=n_key, **kwargs):
+            builds[_name, args[:_n_key]] += 1
+            return _exact(*args, **kwargs)
+
+        monkeypatch.setattr(identities, name, counted)
+    return builds
+
+
+def test_suite_builds_each_table_once(monkeypatch):
+    # a deterministic work gate: one build per builder and leading arguments
+    # within a suite, however many cells read the table
+    builds = _count_builds(
+        monkeypatch,
+        {"hb_numbers": 1, "hb_polys": 1, "hb_higher_polys_series": 2, "a_poly": 2,
+         "a_poly_at_zero": 2},
+    )
+    cfg = SuiteConfig(suites=("sums", "kamano"), N_max=2, r_max=3, n_max=8)
+    reports = run_suite(cfg)
+    assert all(r.status != FAIL for r in reports)
+    for name, per_key in [
+        ("hb_higher_polys_series", [(N, r) for N in (1, 2) for r in (1, 2, 3)]),
+        ("a_poly", [(N, r) for N in (1, 2) for r in (1, 2, 3)]),
+        ("a_poly_at_zero", [(N, r) for N in (1, 2) for r in (1, 2, 3)]),
+        ("hb_polys", [(1,), (2,)]),
+        ("hb_numbers", [(1,), (2,)]),
+    ]:
+        assert {key: builds[name, key] for key in per_key} == dict.fromkeys(per_key, 1), name
+
+
+def test_run_suite_is_reentrant(monkeypatch):
+    # runs of different configs in threads, switching often, each give the
+    # reports they give alone
+    configs = [
+        SuiteConfig(suites=("sums", "kamano"), N_max=2, r_max=3, n_max=6),
+        SuiteConfig(suites=("two-three", "ode", "appell"), N_max=3, r_max=2, n_max=7),
+        SuiteConfig(suites=("sums", "recurrence"), N_max=3, r_max=2, n_max=5),
+    ]
+    serial = [run_suite(cfg) for cfg in configs]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        with ThreadPoolExecutor(max_workers=len(configs)) as pool:
+            assert list(pool.map(run_suite, configs, timeout=120)) == serial
+    finally:
+        sys.setswitchinterval(interval)
+
+    # no table outlives a run: every run builds its tables again, and reads
+    # a builder rebound between runs
+    cfg = SuiteConfig(suites=("sums",), N_max=1, r_max=1, n_max=3)
+    builds = _count_builds(monkeypatch, {"hb_polys": 1})
+    run_suite(cfg)
+    run_suite(cfg)
+    assert builds == {("hb_polys", (1,)): 2}
+    _bump_poly(monkeypatch, 2)
+    assert any(r.status == FAIL for r in run_suite(cfg))
+
+
+@pytest.mark.parametrize("fault", [None, (1, 3)])
+def test_run_suite_matches_cells_run_alone(fault):
+    # the store changes no report: each equals its cell run outside any run
+    cfg = SuiteConfig(N_max=2, r_max=3, n_max=6, fault=fault)
+    reports = run_suite(cfg)
+    alone = [_check_cell(SUITES[r.identity_name], r.params, cfg) for r in reports]
+    assert reports == alone
+    failed = [r for r in reports if r.status == FAIL]
+    assert bool(failed) == (fault is not None)
+    assert all(replay(r, fault=fault) for r in failed)
