@@ -4,6 +4,15 @@ Everything here is pure and immutable.  The ground field is the exact
 rationals (``fractions.Fraction``), so every operation in this module is
 exact; there is no floating point anywhere.
 
+The power-series kernels ``series_mul`` and ``series_invert`` do their
+arithmetic on Python ints: each operand is written once as integer
+numerators over one common denominator (``_integer_coeffs``), the
+recurrence runs on those numerators, and one reduced ``Fraction`` is built
+per output coefficient.  Integer sums and products are exact, and a
+numerator row and its denominator are only ever scaled by the same integer,
+so each output equals the rational the ``Fraction`` recurrence would give;
+the ``Fraction`` constructor reduces it to the same canonical form.
+
 Three container types:
 
 * :class:`UniPoly` -- dense univariate polynomial, ascending coefficients.
@@ -16,6 +25,7 @@ Three container types:
 from __future__ import annotations
 
 import math
+import operator
 import re
 from dataclasses import dataclass
 from fractions import Fraction
@@ -324,14 +334,30 @@ def series_truncate(a: PowerSeries, order: int) -> PowerSeries:
     return PowerSeries(a.coeffs[: order + 1])
 
 
+def _integer_coeffs(coeffs) -> tuple[list[int], int]:
+    """Rationals as integer numerators over their least common denominator."""
+    d = math.lcm(*(c.denominator for c in coeffs))
+    return [c.numerator * (d // c.denominator) for c in coeffs], d
+
+
 def series_mul(a: PowerSeries, b: PowerSeries) -> PowerSeries:
-    """Cauchy product, truncated to the smaller operand order."""
+    """Cauchy product, truncated to the smaller operand order.
+
+    With a = A/d_a and b = B/d_b over integer numerators, the product's
+    coefficient k is ``sum_i A_i B_{k-i} / (d_a d_b)``: the sum runs exactly
+    in ints, and one Fraction, reduced by its constructor, is built per
+    coefficient.
+    """
     order = min(a.order, b.order)
-    ac, bc = a.coeffs, b.coeffs
-    out = []
-    for k in range(order + 1):
-        out.append(sum((ac[i] * bc[k - i] for i in range(k + 1)), Fraction(0)))
-    return PowerSeries(tuple(out))
+    ac, da = _integer_coeffs(a.coeffs[: order + 1])
+    bc, db = _integer_coeffs(b.coeffs[: order + 1])
+    den = da * db
+    return PowerSeries(
+        tuple(
+            Fraction(sum(map(operator.mul, ac[: k + 1], bc[k::-1])), den)
+            for k in range(order + 1)
+        )
+    )
 
 
 def series_invert(a: PowerSeries) -> PowerSeries:
@@ -339,16 +365,33 @@ def series_invert(a: PowerSeries) -> PowerSeries:
 
     Uses the triangular recurrence b_0 = 1/a_0,
     b_k = -(1/a_0) * sum_{j=1..k} a_j b_{k-j}; requires a nonzero constant
-    term.
+    term.  With a = A/d over integer numerators (A_0 > 0 after a common sign
+    change) and b_0..b_{k-1} held as integer numerators P_m over one
+    denominator D, the step value is b_k = S/(A_0 D) with
+    S = -sum_{j=1..k} A_j P_{k-j} (S = d at k = 0).  Reduced, b_k = n/q;
+    when q does not divide D, the row and D are scaled by lcm(D, q)/D, so D
+    stays the least common denominator of the row, and P_k = n D/q.  Every
+    step is integer arithmetic, and one Fraction is built per coefficient.
     """
     if a.coeffs[0] == 0:
         raise ZeroDivisionError("series with zero constant term is not invertible")
-    inv0 = 1 / a.coeffs[0]
-    out = [inv0]
-    for k in range(1, a.order + 1):
-        acc = sum((a.coeffs[j] * out[k - j] for j in range(1, k + 1)), Fraction(0))
-        out.append(-inv0 * acc)
-    return PowerSeries(tuple(out))
+    ac, d = _integer_coeffs(a.coeffs)
+    if ac[0] < 0:
+        ac, d = [-c for c in ac], -d
+    lead, tail = ac[0], ac[1:]
+    nums: list[int] = []
+    den = 1
+    for k in range(a.order + 1):
+        s = -sum(map(operator.mul, tail[:k], reversed(nums))) if k else d
+        q = lead * den
+        g = math.gcd(s, q)
+        n, q = s // g, q // g
+        scale = q // math.gcd(den, q)
+        if scale != 1:
+            nums = [scale * p for p in nums]
+            den *= scale
+        nums.append(n * (den // q))
+    return PowerSeries(tuple(Fraction(p, den) for p in nums))
 
 
 def series_pow(a: PowerSeries, r: int) -> PowerSeries:

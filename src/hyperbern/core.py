@@ -23,6 +23,7 @@ the identity layer can cross-certify them.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -108,20 +109,25 @@ def hb_numbers(N: int, n_max: int) -> HBNumberTable:
 
     the coefficient of t**k in ``normalized_denominator * F = 1`` times
     (N+k)!/N! (see the module docstring).  Every B[N,m] is held as an
-    integer numerator P_m over one common denominator D.  At step k,
+    integer numerator P_m over one common denominator D.  The binomial row
+    C(N+k, 0..k) is carried from step to step: its inner entries are sums
+    of neighbouring entries of the previous row (Pascal's rule) and its last
+    entry is C(N+k-1, k-1) (N+k)/k, an exact integer division.  At step k,
     S = -sum_{m<k} C(N+k, m) P_m and c = C(N+k, k); with g = gcd(S, c) the
-    old numerators and D are scaled by c/g and P_k = S/g.  Since
-    gcd(S/g, c/g) = 1, D stays the least common denominator, so no further
-    reduction is needed.  Fractions are built only for the output.  No
-    series kernel is used, so the ``logderiv`` check compares series
-    inversion against a different construction.
+    old numerators and D are scaled by c/g and P_k = S/g, so B[N,k] =
+    P_k/D exactly and every value stays an integer.  Fractions are built
+    (and reduced) only for the output.  No series kernel is used, so the
+    ``logderiv`` check compares series inversion against a different
+    construction.
     """
     _check_level_order(N, n_max)
     nums = [1]
     den = 1
+    row = [1]  # C(N+k-1, m) for m < k
     for k in range(1, n_max + 1):
-        s = -sum(math.comb(N + k, m) * p for m, p in enumerate(nums))
-        c = math.comb(N + k, k)
+        row = [1, *map(operator.add, row[1:], row), row[-1] * (N + k) // k]
+        s = -sum(map(operator.mul, row, nums))
+        c = row[k]
         g = math.gcd(s, c)
         scale = c // g
         if scale != 1:

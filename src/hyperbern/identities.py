@@ -27,6 +27,7 @@ from fractions import Fraction
 from .algebra import (
     PowerSeries,
     UniPoly,
+    _integer_coeffs,
     bipoly_subst_s,
     format_rational,
     poly_derivative,
@@ -287,8 +288,8 @@ def _closed_form(N: int, r: int, n: int, entries, polys) -> UniPoly:
 def _integer_poly(p: UniPoly) -> tuple[list[int], int]:
     """p as integer coefficients over one positive denominator (the zero
     polynomial as [0] over 1)."""
-    d = math.lcm(*(c.denominator for c in p.coeffs))
-    return [c.numerator * (d // c.denominator) for c in p.coeffs] or [0], d
+    nums, d = _integer_coeffs(p.coeffs)
+    return nums or [0], d
 
 
 def _dot_target(int_sides, x_sum, scale: int, fact_n: int) -> int | None:

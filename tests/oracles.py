@@ -6,7 +6,9 @@ moments from the Beta-function closed form.  The rising factorial and the
 x-substitution of a bivariate polynomial serve only tests.  Two former package builders are
 kept here as references for the integer engines that replaced them: the
 number table by exact series inversion, and the order-r recurrence in
-Fraction arithmetic.
+Fraction arithmetic.  So are the former Fraction bodies of the series
+kernels ``series_mul`` and ``series_invert``, which the package now runs on
+integer numerators; the number oracle inverts through the Fraction one.
 """
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-from hyperbern.algebra import BiPoly, UniPoly, series_invert
+from hyperbern.algebra import BiPoly, PowerSeries, UniPoly
 from hyperbern.core import HBNumberTable, normalized_denominator
 
 
@@ -29,9 +31,33 @@ def classical_bernoulli(n_max: int) -> list[Fraction]:
     return values
 
 
+def series_mul_fractions(a: PowerSeries, b: PowerSeries) -> PowerSeries:
+    """Cauchy product in Fraction arithmetic, truncated to the smaller order."""
+    order = min(a.order, b.order)
+    ac, bc = a.coeffs, b.coeffs
+    out = []
+    for k in range(order + 1):
+        out.append(sum((ac[i] * bc[k - i] for i in range(k + 1)), Fraction(0)))
+    return PowerSeries(tuple(out))
+
+
+def series_invert_fractions(a: PowerSeries) -> PowerSeries:
+    """Inverse by b_0 = 1/a_0, b_k = -(1/a_0) sum_{j=1..k} a_j b_{k-j}, in
+    Fraction arithmetic; a zero constant term raises ZeroDivisionError."""
+    if a.coeffs[0] == 0:
+        raise ZeroDivisionError("series with zero constant term is not invertible")
+    inv0 = 1 / a.coeffs[0]
+    out = [inv0]
+    for k in range(1, a.order + 1):
+        acc = sum((a.coeffs[j] * out[k - j] for j in range(1, k + 1)), Fraction(0))
+        out.append(-inv0 * acc)
+    return PowerSeries(tuple(out))
+
+
 def hb_numbers_by_inversion(N: int, n_max: int) -> list[Fraction]:
-    """B[N,0..n_max] as n! times the coefficients of 1/normalized_denominator."""
-    f = series_invert(normalized_denominator(N, n_max))
+    """B[N,0..n_max] as n! times the coefficients of 1/normalized_denominator,
+    inverted by the Fraction reference kernel."""
+    f = series_invert_fractions(normalized_denominator(N, n_max))
     return [math.factorial(n) * c for n, c in enumerate(f.coeffs)]
 
 

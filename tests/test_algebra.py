@@ -2,7 +2,7 @@ import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from hyperbern import algebra
@@ -22,7 +22,13 @@ from hyperbern.algebra import (
     series_pow,
     series_truncate,
 )
-from oracles import beta_moment, bipoly_subst_x, pochhammer
+from oracles import (
+    beta_moment,
+    bipoly_subst_x,
+    pochhammer,
+    series_invert_fractions,
+    series_mul_fractions,
+)
 
 rationals = st.fractions(min_value=-50, max_value=50, max_denominator=20)
 
@@ -207,6 +213,85 @@ def test_series_pow_product_count(monkeypatch, r):
     series_pow(series([1, 2, 3, 4]), r)
     expected = 0 if r <= 1 else r.bit_length() - 1 + bin(r).count("1") - 1
     assert len(calls) == expected
+
+
+# --- integer series kernels against the Fraction references ----------------
+
+# zeros come often, so coefficients vanish inside a series as well as at its
+# start; constant terms may be negative or non-integer
+series_terms = st.one_of(st.just(Fraction(0)), rationals)
+
+
+@given(
+    st.lists(series_terms, min_size=1, max_size=8),
+    st.lists(series_terms, min_size=1, max_size=8),
+)
+@example([Fraction(-3), 0, Fraction(1, 2)], [Fraction(2, 3)])
+@example([Fraction(2, 3), 0, 0, Fraction(-5, 7)], [Fraction(-1, 4), 1, 0, 3, 0, 2])
+def test_series_mul_matches_fraction_reference(a_coeffs, b_coeffs):
+    a, b = series(a_coeffs), series(b_coeffs)
+    assert series_mul(a, b) == series_mul_fractions(a, b)
+
+
+@given(rationals.filter(bool), st.lists(series_terms, max_size=8))
+@example(Fraction(-3), [])
+@example(Fraction(2, 3), [0, Fraction(-1, 5), 0, 1])
+@example(Fraction(-2, 3), [1, 0, 0, Fraction(7, 4)])
+def test_series_invert_matches_fraction_reference(lead, rest):
+    a = series([lead, *rest])
+    assert series_invert(a) == series_invert_fractions(a)
+
+
+@given(st.lists(series_terms, min_size=1, max_size=6), st.integers(min_value=0, max_value=6))
+@example([Fraction(-2, 3), 0, 1], 3)
+@example([Fraction(5)], 4)
+def test_series_pow_matches_fraction_reference(coeffs, r):
+    a = series(coeffs)
+    expected = PowerSeries.one(a.order)
+    for _ in range(r):
+        expected = series_mul_fractions(expected, a)
+    assert series_pow(a, r) == expected
+
+
+def fractions_built(monkeypatch, fn, *args) -> int:
+    """How many Fractions one call fn(*args) builds.
+
+    From Python 3.12 on, Fraction arithmetic builds its results through the
+    private classmethod ``_from_coprime_ints``, which bypasses ``__new__``,
+    so that is counted too where it exists.
+    """
+    built = []
+    new = Fraction.__new__
+
+    def counting_new(cls, *a, **k):
+        built.append(1)
+        return new(cls, *a, **k)
+
+    monkeypatch.setattr(Fraction, "__new__", staticmethod(counting_new))
+    if "_from_coprime_ints" in vars(Fraction):
+        from_coprime = vars(Fraction)["_from_coprime_ints"].__func__
+
+        def counting_from_coprime(cls, *a):
+            built.append(1)
+            return from_coprime(cls, *a)
+
+        monkeypatch.setattr(Fraction, "_from_coprime_ints", classmethod(counting_from_coprime))
+    fn(*args)
+    monkeypatch.undo()
+    return len(built)
+
+
+def test_series_mul_builds_one_fraction_per_coefficient(monkeypatch):
+    # work count: Fraction arithmetic term by term would build 1,023 here
+    a = series([Fraction((-1) ** k * (k + 2), 3 * k + 1) for k in range(31)])
+    b = series([Fraction(7, k + 1) for k in range(41)])
+    assert fractions_built(monkeypatch, series_mul, a, b) <= a.order + 1
+
+
+def test_series_invert_builds_one_fraction_per_coefficient(monkeypatch):
+    # work count: Fraction arithmetic term by term would build 1,761 here
+    b = series([Fraction(7, k + 1) for k in range(41)])
+    assert fractions_built(monkeypatch, series_invert, b) <= b.order + 1
 
 
 def test_series_truncate():

@@ -34,6 +34,7 @@ from oracles import (
     hb_higher_polys_recurrence_fractions,
     hb_numbers_by_inversion,
     pochhammer,
+    series_invert_fractions,
 )
 
 
@@ -119,6 +120,29 @@ def test_numbers_match_series_inversion(level, n_max):
     values = hb_numbers(level, n_max).values
     assert list(values) == hb_numbers_by_inversion(level, n_max)
     assert all(type(v) is Fraction for v in values)
+
+
+@pytest.mark.parametrize("level", (1, 3, 7))
+def test_integer_inversion_of_the_denominator_series(level):
+    # the series route's own input: coefficients over a common denominator
+    # of hundreds of digits
+    d = normalized_denominator(level, 120)
+    assert algebra.series_invert(d) == series_invert_fractions(d)
+
+
+def test_hb_numbers_carries_the_binomial_row(monkeypatch):
+    # work count: the binomial row is carried from step to step, not
+    # recomputed by math.comb per term (80,600 calls at (3, 400))
+    calls = []
+    comb = math.comb
+
+    def counting_comb(n, k):
+        calls.append((n, k))
+        return comb(n, k)
+
+    monkeypatch.setattr(math, "comb", counting_comb)
+    hb_numbers(3, 400)
+    assert len(calls) <= 3 + 2
 
 
 def test_numbers_match_sympy_series():
