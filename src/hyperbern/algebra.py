@@ -16,7 +16,8 @@ the ``Fraction`` constructor reduces it to the same canonical form.
 Three container types:
 
 * :class:`UniPoly` -- dense univariate polynomial, ascending coefficients.
-* :class:`BiPoly` -- dense bivariate polynomial in ``(x, s)``.
+* :class:`BiPoly` -- polynomial in ``x`` whose coefficients, its rows, are
+  ``UniPoly``s in ``s``; its arithmetic is ``UniPoly``'s, row by row.
 * :class:`PowerSeries` -- truncated formal power series in ``t`` with an
   explicit truncation order; binary operations take the min of the operand
   orders and never claim precision beyond it.
@@ -24,6 +25,7 @@ Three container types:
 
 from __future__ import annotations
 
+import itertools
 import math
 import operator
 import re
@@ -178,57 +180,46 @@ def poly_integral_weighted(p: UniPoly, n_weight: int) -> Fraction:
 
 @dataclass(frozen=True)
 class BiPoly:
-    """Dense polynomial in two variables, ``coeffs[i][j]`` multiplying ``x**i * s**j``.
+    """Polynomial in x whose coefficients are polynomials in s.
 
-    Stored as a rectangular matrix with trailing all-zero rows and columns
-    trimmed; the zero polynomial is the empty tuple.
+    ``rows[i]`` is the :class:`UniPoly` in s multiplying ``x**i``, trailing zero
+    rows trimmed (zero has no rows); every operation works row by row through
+    ``UniPoly`` arithmetic.  The constructor also takes nested rational tuples.
     """
 
-    coeffs: tuple[tuple[Fraction, ...], ...] = ()
+    rows: tuple[UniPoly, ...] = ()
 
     def __post_init__(self) -> None:
-        rows = [
-            [c if type(c) is Fraction else Fraction(c) for c in row] for row in self.coeffs
-        ]
-        width = max((len(r) for r in rows), default=0)
-        for r in rows:
-            r.extend([Fraction(0)] * (width - len(r)))
-        while width and all(r[width - 1] == 0 for r in rows):
-            width -= 1
-        rows = [r[:width] for r in rows]
-        while rows and all(c == 0 for c in rows[-1]):
+        rows = [r if type(r) is UniPoly else UniPoly(tuple(r)) for r in self.rows]
+        while rows and rows[-1].is_zero:
             rows.pop()
-        object.__setattr__(self, "coeffs", tuple(tuple(r) for r in rows))
+        object.__setattr__(self, "rows", tuple(rows))
+
+    @property
+    def coeffs(self) -> tuple[tuple[Fraction, ...], ...]:
+        """``coeffs[i][j]`` multiplies ``x**i * s**j``: a rectangular matrix
+        with trailing all-zero rows and columns trimmed, ``()`` for zero."""
+        width = max((len(r.coeffs) for r in self.rows), default=0)
+        return tuple(r.coeffs + (Fraction(0),) * (width - len(r.coeffs)) for r in self.rows)
 
     @property
     def is_zero(self) -> bool:
-        return not self.coeffs
+        return not self.rows
 
     @property
     def x_degree(self) -> int | None:
-        return len(self.coeffs) - 1 if self.coeffs else None
+        return len(self.rows) - 1 if self.rows else None
 
     @property
     def s_degree(self) -> int | None:
-        if not self.coeffs:
-            return None
-        return len(self.coeffs[0]) - 1
+        return max(len(r.coeffs) for r in self.rows) - 1 if self.rows else None
 
     def __add__(self, other: BiPoly) -> BiPoly:
-        nrows = max(len(self.coeffs), len(other.coeffs))
-        ncols = max(
-            len(self.coeffs[0]) if self.coeffs else 0,
-            len(other.coeffs[0]) if other.coeffs else 0,
-        )
-        out = [[Fraction(0)] * ncols for _ in range(nrows)]
-        for mat in (self.coeffs, other.coeffs):
-            for i, row in enumerate(mat):
-                for j, c in enumerate(row):
-                    out[i][j] += c
-        return BiPoly(tuple(tuple(r) for r in out))
+        pairs = itertools.zip_longest(self.rows, other.rows, fillvalue=UniPoly())
+        return BiPoly(tuple(a + b for a, b in pairs))
 
     def __neg__(self) -> BiPoly:
-        return BiPoly(tuple(tuple(-c for c in row) for row in self.coeffs))
+        return BiPoly(tuple(-r for r in self.rows))
 
     def __sub__(self, other: BiPoly) -> BiPoly:
         return self + (-other)
@@ -237,19 +228,12 @@ class BiPoly:
         if isinstance(other, BiPoly):
             if self.is_zero or other.is_zero:
                 return BiPoly()
-            nrows = len(self.coeffs) + len(other.coeffs) - 1
-            ncols = len(self.coeffs[0]) + len(other.coeffs[0]) - 1
-            out = [[Fraction(0)] * ncols for _ in range(nrows)]
-            for i1, row1 in enumerate(self.coeffs):
-                for j1, c1 in enumerate(row1):
-                    if c1 == 0:
-                        continue
-                    for i2, row2 in enumerate(other.coeffs):
-                        for j2, c2 in enumerate(row2):
-                            out[i1 + i2][j1 + j2] += c1 * c2
-            return BiPoly(tuple(tuple(r) for r in out))
-        c = Fraction(other)
-        return BiPoly(tuple(tuple(a * c for a in row) for row in self.coeffs))
+            out = [UniPoly()] * (len(self.rows) + len(other.rows) - 1)
+            for i, a in enumerate(self.rows):
+                for j, b in enumerate(other.rows):
+                    out[i + j] = out[i + j] + a * b
+            return BiPoly(tuple(out))
+        return BiPoly(tuple(r * other for r in self.rows))
 
     __rmul__ = __mul__
 
@@ -261,40 +245,31 @@ class BiPoly:
     @staticmethod
     def from_s_poly(p: UniPoly) -> BiPoly:
         """Embed a polynomial in s as a BiPoly constant in x."""
-        return BiPoly((tuple(p.coeffs),) if not p.is_zero else ())
+        return BiPoly((p,))
 
 
 def bipoly_subst_s(a: BiPoly, sval: RationalLike) -> UniPoly:
     """Substitute a rational value for s, leaving a polynomial in x."""
-    sval = Fraction(sval)
-    out = []
-    for row in a.coeffs:
-        acc = Fraction(0)
-        for c in reversed(row):
-            acc = acc * sval + c
-        out.append(acc)
-    return UniPoly(tuple(out))
+    return UniPoly(tuple(poly_eval(row, sval) for row in a.rows))
 
 
 def bipoly_shift_s(a: BiPoly, offset: RationalLike) -> BiPoly:
     """Compose s -> s + offset by exact binomial re-expansion of each s power."""
-    offset = Fraction(offset)
     if a.is_zero or offset == 0:
         return a
-    ncols = len(a.coeffs[0])
     # pascal[j][k] = C(j,k) * offset^(j-k), the expansion of (s + offset)^j
-    pascal = []
-    for j in range(ncols):
-        pascal.append([math.comb(j, k) * offset ** (j - k) for k in range(j + 1)])
+    pascal = [
+        [math.comb(j, k) * offset ** (j - k) for k in range(j + 1)]
+        for j in range(a.s_degree + 1)
+    ]
     out = []
-    for row in a.coeffs:
-        new_row = [Fraction(0)] * ncols
-        for j, c in enumerate(row):
-            if c == 0:
-                continue
-            for k, w in enumerate(pascal[j]):
-                new_row[k] += c * w
-        out.append(tuple(new_row))
+    for row in a.rows:
+        new_row = [Fraction(0)] * len(row.coeffs)
+        for j, c in enumerate(row.coeffs):
+            if c:
+                for k, w in enumerate(pascal[j]):
+                    new_row[k] += c * w
+        out.append(new_row)
     return BiPoly(tuple(out))
 
 

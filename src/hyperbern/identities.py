@@ -234,7 +234,6 @@ _PREFIX_FIELD = {
     "hb_numbers": "values",
     "hb_polys": "polys",
     "hb_higher_polys_series": "polys",
-    "hb_higher_polys_recurrence": "polys",
 }
 
 
@@ -246,7 +245,10 @@ def _table(builder: str, *args):
     by the builder object and its leading arguments, so no route reads
     another's table.  A prefix-stable builder is built at the largest top
     index asked for so far and smaller tops get a prefix of that table;
-    ``a_poly`` and ``a_poly_at_zero`` are built once per (N, r).
+    ``a_poly`` and ``a_poly_at_zero`` are built once per (N, r).  The
+    recurrence route does not come through here: each recurrence and appell
+    cell reads its own (N, r) table, so a store would only hold it, and those
+    checks call ``hb_higher_polys_recurrence`` directly.
     """
     build = globals()[builder]
     store = _TABLES.get()
@@ -385,6 +387,8 @@ def check_sums_of_products(
         raise ValueError(f"identity requires n >= r-1 (got n={n}, r={r})")
     if mode not in ("grid", "sample"):
         raise ValueError(f"unknown mode {mode!r}")
+    if sample_count < 1:
+        raise ValueError("sample_count must be positive")
     params = {"N": N, "r": r, "n": n}
     polys1 = _table("hb_polys", N, n).polys
     higher = _table("hb_higher_polys_series", N, r, n).polys[n]
@@ -507,10 +511,7 @@ def check_recurrence_paths(
     feeds only the recurrence path."""
     params = {"N": N, "r": r, "n_max": n_max}
     series_polys = _table("hb_higher_polys_series", N, r, n_max).polys
-    if numbers is None:
-        rec_polys = _table("hb_higher_polys_recurrence", N, r, n_max).polys
-    else:
-        rec_polys = hb_higher_polys_recurrence(N, r, n_max, numbers=numbers).polys
+    rec_polys = hb_higher_polys_recurrence(N, r, n_max, numbers=numbers).polys
 
     step_table = _table("hb_polys", N, n_max)
     for _ in range(r - 1):
@@ -600,7 +601,7 @@ def check_appell_basics(N: int, r: int, n_max: int) -> VerifyReport:
     """
     params = {"N": N, "r": r, "n_max": n_max}
     table = _table("hb_higher_polys_series", N, r, n_max)
-    values = [poly_eval(p, 0) for p in _table("hb_higher_polys_recurrence", N, r, n_max).polys]
+    values = [poly_eval(p, 0) for p in hb_higher_polys_recurrence(N, r, n_max).polys]
 
     checked = 0
 
@@ -807,11 +808,13 @@ def run_suite(config: SuiteConfig = SuiteConfig()) -> list[VerifyReport]:
     Cells whose preconditions fail are reported as skipped, never as passed.
     Reports come back sorted by (suite, N, r, index).  Each suite builds
     each table once per builder and leading arguments and slices it for
-    smaller indices; the tables are dropped when the suite ends.  A fault
-    B[N,k] is read only by injectable cells at level N with index >= k; a
-    run without such a cell raises :class:`UnreadFault`, as it would pass
-    whether or not the fault trips.  A selected suite whose every cell would be skipped raises
-    :class:`EmptySuite`, as it would check nothing.
+    smaller indices; the tables are dropped when the suite ends.  The
+    recurrence route, which no two cells share, is built per cell and not
+    stored.  A fault B[N,k] is read only by injectable cells at level N with
+    index >= k; a run without such a cell raises :class:`UnreadFault`, as it
+    would pass whether or not the fault trips.  A selected suite whose every
+    cell would be skipped raises :class:`EmptySuite`, as it would check
+    nothing.
     """
     jobs = sorted(
         (name, cell) for name in config.suites for cell in _cells(SUITES[name], config)

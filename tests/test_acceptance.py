@@ -4,6 +4,7 @@ Each test prints a single PASS/FAIL line (visible with ``pytest -s``); the
 stated runtime budgets are asserted where they apply.
 """
 
+import hashlib
 import math
 import time
 from contextlib import contextmanager
@@ -221,6 +222,10 @@ def test_criterion_14_default_verify_suite():
         elapsed = time.perf_counter() - start
         assert result.exit_code == 0
         assert elapsed < 60.0
+        # the bytes perfbench pins for its verify-default workload
+        assert hashlib.sha256(result.output.encode("utf-8")).hexdigest() == (
+            "797dc2f84bb0a556a574af1a5fd65801b6573f011e0e50f443c42a2f645e71d2"
+        )
         payload = parse_json(result.output).payload
         statuses = {row["status"] for row in payload}
         assert FAIL not in statuses

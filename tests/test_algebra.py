@@ -115,6 +115,47 @@ def test_bipoly_canonical_trim():
     a = BiPoly(((1, 0, 0), (0, 0, 0)))
     assert a.coeffs == ((Fraction(1),),)
     assert BiPoly(((0, 0),)).is_zero
+    assert BiPoly(((0, 0),)).coeffs == ()
+    # ragged rows are padded to one width, trailing zero rows and columns cut
+    assert BiPoly(((1,), (0, 2))).coeffs == ((1, 0), (0, 2))
+    assert BiPoly(((0, 3, 0), (), (0, 0), ())).coeffs == ((0, 3),)
+    assert BiPoly(((), (5,))).coeffs == ((0,), (5,))
+    assert all(type(c) is Fraction for row in BiPoly(((1,), (0, 2))).coeffs for c in row)
+    a, b = BiPoly(((1, 0), (2,), ())), BiPoly(((1,), (Fraction(4, 2), 0)))
+    assert a == b and hash(a) == hash(b)
+    assert BiPoly(((1,), (2,))) != BiPoly(((1, 2),))
+
+
+# zero terms come often, so rows vanish inside and at the end, and so do
+# columns; the empty list is the zero polynomial
+bipolys = st.lists(
+    st.lists(st.one_of(st.just(Fraction(0)), rationals), max_size=4), max_size=4
+).map(lambda rows: BiPoly(tuple(map(tuple, rows))))
+
+
+def at(a, x, s):
+    return poly_eval(bipoly_subst_x(a, x), s)
+
+
+@given(bipolys, bipolys, rationals, rationals, rationals)
+@example(BiPoly(), BiPoly(((0, 1), (), (2,))), Fraction(3), Fraction(-1, 2), Fraction(2))
+@example(BiPoly(((1, 0), (0, 0), (0, 1))), BiPoly(((-1, 0), (0,), (0, -1))), 0, 1, 1)
+def test_bipoly_arithmetic_evaluates_pointwise(a, b, c, x, s):
+    va, vb = at(a, x, s), at(b, x, s)
+    assert at(a + b, x, s) == va + vb
+    assert at(a - b, x, s) == va - vb
+    assert at(-a, x, s) == -va
+    assert at(a * b, x, s) == va * vb
+    assert at(a * c, x, s) == at(c * a, x, s) == c * va
+    assert poly_eval(bipoly_subst_s(a, s), x) == va
+
+
+@given(st.lists(rationals, max_size=5), rationals, rationals)
+@example([], Fraction(1), Fraction(2))
+def test_bipoly_embeddings_evaluate_as_their_polynomial(coeffs, x, s):
+    p = UniPoly(tuple(coeffs))
+    assert at(BiPoly.from_x_poly(p), x, s) == poly_eval(p, x)
+    assert at(BiPoly.from_s_poly(p), x, s) == poly_eval(p, s)
 
 
 @given(

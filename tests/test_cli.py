@@ -111,11 +111,15 @@ def test_apoly_rejects_malformed_substitution(runner):
             ("apoly", "--N", "4", "--r", "8"),
             "955720befb4cd9e37e0e9cffcb7ec29b632f3a6d5a4e996b450a6e051e5c0323",
         ),
+        (
+            ("apoly", "--N", "3", "--r", "6", "--subst-s", "-5/2"),
+            "461649cad5c058f2351479de5e5b8fa9061ec74cc2c76d337197e379b7e46323",
+        ),
     ],
-    ids=["numbers-400", "polys-150", "apoly-8"],
+    ids=["numbers-400", "polys-150", "apoly-8", "apoly-6-subst"],
 )
 def test_table_output_is_pinned(runner, args, digest):
-    # the same digests gate the perfbench tables-large workload
+    # the first three digests also gate the perfbench tables-large workload
     res = invoke(runner, *args, "--no-meta")
     assert res.exit_code == 0
     assert hashlib.sha256(res.output.encode("utf-8")).hexdigest() == digest

@@ -208,6 +208,13 @@ def test_sums_precondition():
         check_sums_of_products(1, 2, 2, mode="bogus")
 
 
+@pytest.mark.parametrize("count", [0, -1])
+def test_sums_sample_needs_points(count):
+    # a sample of no points would pass while checking nothing
+    with pytest.raises(ValueError, match="sample_count"):
+        check_sums_of_products(2, 3, 6, mode="sample", sample_count=count)
+
+
 def test_sums_sample_deterministic_and_replayable():
     a = check_sums_of_products(2, 3, 6, mode="sample", sample_count=16, seed=7)
     b = check_sums_of_products(2, 3, 6, mode="sample", sample_count=16, seed=7)
