@@ -1,26 +1,32 @@
 """Exact arithmetic kernels: rationals, dense polynomials, truncated power series.
 
 Everything here is pure and immutable.  The ground field is the exact
-rationals (``fractions.Fraction``), so every operation in this module is
-exact; there is no floating point anywhere.
-
-The power-series kernels ``series_mul`` and ``series_invert`` do their
-arithmetic on Python ints: each operand is written once as integer
-numerators over one common denominator (``_integer_coeffs``), the
-recurrence runs on those numerators, and one reduced ``Fraction`` is built
-per output coefficient.  Integer sums and products are exact, and a
-numerator row and its denominator are only ever scaled by the same integer,
-so each output equals the rational the ``Fraction`` recurrence would give;
-the ``Fraction`` constructor reduces it to the same canonical form.
+rationals, so every operation in this module is exact; there is no floating
+point anywhere.  The arithmetic itself runs on Python ints, through one
+integer Cauchy product (``_conv``), and ``fractions.Fraction`` appears only
+at the edges: as the coefficients a caller passes in or reads out, and as
+the value of an evaluation.
 
 Three container types:
 
-* :class:`UniPoly` -- dense univariate polynomial, ascending coefficients.
+* :class:`UniPoly` -- dense univariate polynomial, held as integer numerators
+  ``nums`` (ascending powers) over one positive denominator ``den``.  Its
+  canonical form has gcd(den, *nums) = 1 and no trailing zero numerator, and
+  the zero polynomial is ``()`` over 1, so equal polynomials have equal
+  (nums, den) and ``==`` and ``hash`` compare that pair.  Every operation
+  combines numerators in ints and reduces once per result; ``coeffs`` builds
+  the reduced ``Fraction`` coefficients on each read.
 * :class:`BiPoly` -- polynomial in ``x`` whose coefficients, its rows, are
   ``UniPoly``s in ``s``; its arithmetic is ``UniPoly``'s, row by row.
 * :class:`PowerSeries` -- truncated formal power series in ``t`` with an
   explicit truncation order; binary operations take the min of the operand
-  orders and never claim precision beyond it.
+  orders and never claim precision beyond it.  Its coefficients are
+  ``Fraction``s; the kernels ``series_mul`` and ``series_invert`` write each
+  operand once as integer numerators over one common denominator
+  (``_integer_coeffs``), run on those numerators and build one reduced
+  ``Fraction`` per output coefficient.  A numerator row and its denominator
+  are only ever scaled by the same integer, so each output equals the
+  rational the ``Fraction`` recurrence would give.
 """
 
 from __future__ import annotations
@@ -76,101 +82,188 @@ def parse_rational(text: str) -> Fraction:
 
 
 # ---------------------------------------------------------------------------
+# integer kernels
+# ---------------------------------------------------------------------------
+
+
+def _integer_coeffs(coeffs) -> tuple[list[int], int]:
+    """Rationals as integer numerators over their least common denominator."""
+    d = math.lcm(*(c.denominator for c in coeffs))
+    return [c.numerator * (d // c.denominator) for c in coeffs], d
+
+
+def _conv(a, b, size: int | None = None) -> list[int]:
+    """Cauchy product of two integer sequences: entry k is sum_i a[i] b[k-i].
+
+    ``size`` truncates the product to its first ``size`` entries; the
+    default is the full product, len(a) + len(b) - 1 entries.  A plain loop:
+    on the evaluator's truncated rows it measured faster than
+    ``sum(map(operator.mul, ...))`` over slices, for small and for bignum
+    entries alike.
+    """
+    la, lb = len(a), len(b)
+    if size is None:
+        size = la + lb - 1
+    out = []
+    for k in range(size):
+        acc = 0
+        for i in range(k - lb + 1 if k >= lb else 0, k + 1 if k < la else la):
+            acc += a[i] * b[k - i]
+        out.append(acc)
+    return out
+
+
+def _horner(nums, a: int, b: int) -> tuple[int, int]:
+    """(H, b**deg) with H = sum_k nums[k] a^k b^(deg-k), deg = len(nums) - 1,
+    so that the polynomial with coefficients nums[k] is H / b**deg at a/b;
+    (0, 1) for no coefficients."""
+    if not nums:
+        return 0, 1
+    h, bpow = nums[-1], 1
+    for c in nums[-2::-1]:
+        bpow *= b
+        h = h * a + c * bpow
+    return h, bpow
+
+
+# ---------------------------------------------------------------------------
 # univariate polynomials
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
 class UniPoly:
-    """Dense polynomial in one variable, ``coeffs[k]`` multiplying ``x**k``.
+    """Dense polynomial in one variable: ``nums[k] / den`` multiplies ``x**k``.
 
-    Canonical form: no trailing zero coefficient; the zero polynomial is the
-    empty tuple.  ``degree`` of the zero polynomial is ``None`` (a sentinel,
-    never -1 arithmetic).
+    Canonical form: integer numerators over one positive denominator with
+    gcd(den, *nums) = 1 and no trailing zero numerator; the zero polynomial is
+    ``()`` over 1.  So ``==`` and ``hash`` compare (nums, den).  The
+    constructor takes rational coefficients; :meth:`from_integers` takes
+    numerators and a denominator.  ``degree`` of the zero polynomial is
+    ``None`` (a sentinel, never -1 arithmetic).  Instances are immutable.
     """
 
-    coeffs: tuple[Fraction, ...] = ()
+    __slots__ = ("nums", "den")
 
-    def __post_init__(self) -> None:
-        # a Fraction is already reduced; only other values are converted
-        cs = [c if type(c) is Fraction else Fraction(c) for c in self.coeffs]
-        while cs and cs[-1] == 0:
-            cs.pop()
-        object.__setattr__(self, "coeffs", tuple(cs))
+    nums: tuple[int, ...]
+    den: int
+
+    def __new__(cls, coeffs=()) -> UniPoly:
+        cs = [c if isinstance(c, (int, Fraction)) else Fraction(c) for c in coeffs]
+        return UniPoly.from_integers(*_integer_coeffs(cs))
+
+    @staticmethod
+    def from_integers(nums, den: int = 1) -> UniPoly:
+        """The polynomial with coefficients ``nums[k] / den``, in canonical form."""
+        if den < 1:
+            raise ValueError("denominator must be positive")
+        end = len(nums)
+        while end and not nums[end - 1]:
+            end -= 1
+        g = math.gcd(den, *nums)  # den itself when every numerator is zero
+        p = object.__new__(UniPoly)
+        object.__setattr__(p, "nums", tuple(nums[:end]) if g == 1 else tuple(c // g for c in nums[:end]))
+        object.__setattr__(p, "den", den // g)
+        return p
+
+    def __setattr__(self, name, value):
+        raise AttributeError("UniPoly is immutable")
+
+    __delattr__ = __setattr__
+
+    def __reduce__(self):
+        return UniPoly.from_integers, (self.nums, self.den)
+
+    def __repr__(self) -> str:
+        return f"UniPoly(nums={self.nums!r}, den={self.den!r})"
+
+    def __eq__(self, other) -> bool:
+        if type(other) is not UniPoly:
+            return NotImplemented
+        return self.den == other.den and self.nums == other.nums
+
+    def __hash__(self) -> int:
+        return hash((self.nums, self.den))
+
+    @property
+    def coeffs(self) -> tuple[Fraction, ...]:
+        """The coefficients as reduced Fractions, built on every read."""
+        return tuple(Fraction(c, self.den) for c in self.nums)
 
     @property
     def is_zero(self) -> bool:
-        return not self.coeffs
+        return not self.nums
 
     @property
     def degree(self) -> int | None:
-        return len(self.coeffs) - 1 if self.coeffs else None
+        return len(self.nums) - 1 if self.nums else None
 
     @property
     def leading_coefficient(self) -> Fraction:
-        if not self.coeffs:
+        if not self.nums:
             raise ValueError("zero polynomial has no leading coefficient")
-        return self.coeffs[-1]
+        return Fraction(self.nums[-1], self.den)
+
+    def _combine(self, other: UniPoly, op) -> UniPoly:
+        a, b, den = self.nums, other.nums, self.den
+        if den != other.den:
+            den = math.lcm(den, other.den)
+            fa, fb = den // self.den, den // other.den
+            a, b = [fa * c for c in a], [fb * c for c in b]
+        pairs = itertools.zip_longest(a, b, fillvalue=0)
+        return UniPoly.from_integers(list(itertools.starmap(op, pairs)), den)
 
     def __add__(self, other: UniPoly) -> UniPoly:
-        a, b = self.coeffs, other.coeffs
-        if len(a) < len(b):
-            a, b = b, a
-        out = list(a)
-        for k, c in enumerate(b):
-            out[k] += c
-        return UniPoly(tuple(out))
-
-    def __neg__(self) -> UniPoly:
-        return UniPoly(tuple(-c for c in self.coeffs))
+        return self._combine(other, operator.add)
 
     def __sub__(self, other: UniPoly) -> UniPoly:
-        return self + (-other)
+        return self._combine(other, operator.sub)
+
+    def __neg__(self) -> UniPoly:
+        return UniPoly.from_integers([-c for c in self.nums], self.den)
 
     def __mul__(self, other: UniPoly | RationalLike) -> UniPoly:
         if isinstance(other, UniPoly):
-            if self.is_zero or other.is_zero:
-                return UniPoly()
-            out = [Fraction(0)] * (len(self.coeffs) + len(other.coeffs) - 1)
-            for i, a in enumerate(self.coeffs):
-                for j, b in enumerate(other.coeffs):
-                    out[i + j] += a * b
-            return UniPoly(tuple(out))
-        c = Fraction(other)
-        return UniPoly(tuple(a * c for a in self.coeffs))
+            return UniPoly.from_integers(_conv(self.nums, other.nums), self.den * other.den)
+        c = other.numerator
+        return UniPoly.from_integers([c * a for a in self.nums], self.den * other.denominator)
 
     __rmul__ = __mul__
 
+    def __truediv__(self, other: RationalLike) -> UniPoly:
+        c, d = other.denominator, other.numerator
+        if d < 0:
+            c, d = -c, -d
+        if not d:
+            raise ZeroDivisionError("polynomial division by zero")
+        return UniPoly.from_integers([c * a for a in self.nums], self.den * d)
+
 
 def poly_eval(p: UniPoly, v: RationalLike) -> Fraction:
-    """Exact Horner evaluation of p at v."""
-    v = Fraction(v)
-    acc = Fraction(0)
-    for c in reversed(p.coeffs):
-        acc = acc * v + c
-    return acc
+    """Exact value of p at v: Horner's scheme in integers, one Fraction."""
+    h, bpow = _horner(p.nums, v.numerator, v.denominator)
+    return Fraction(h, p.den * bpow)
 
 
 def poly_derivative(p: UniPoly) -> UniPoly:
     """Exact formal derivative."""
-    return UniPoly(tuple(k * c for k, c in enumerate(p.coeffs) if k >= 1))
+    return UniPoly.from_integers([k * c for k, c in enumerate(p.nums[1:], 1)], p.den)
 
 
 def poly_integral_weighted(p: UniPoly, n_weight: int) -> Fraction:
     """Exact value of ``integral_0^1 (1-x)**(n_weight-1) p(x) dx``.
 
     Expands ``(1-x)**(n_weight-1)`` binomially and integrates monomials term
-    by term; requires ``n_weight >= 1``.
+    by term: the product's coefficient of x^(m-1) integrates to it over m,
+    and the terms are summed over lcm(1..M) in integers; requires
+    ``n_weight >= 1``.
     """
     if n_weight < 1:
         raise ValueError("weight exponent base must be >= 1")
-    total = Fraction(0)
-    for j in range(n_weight):
-        # (1-x)^(N-1) = sum_j C(N-1, j) (-1)^j x^j
-        w = Fraction((-1) ** j * math.comb(n_weight - 1, j))
-        for k, c in enumerate(p.coeffs):
-            total += w * c / (j + k + 1)
-    return total
+    # (1-x)^(N-1) = sum_j C(N-1, j) (-1)^j x^j
+    weight = [(-1) ** j * math.comb(n_weight - 1, j) for j in range(n_weight)]
+    terms = _conv(weight, p.nums)
+    lcm = math.lcm(*range(1, len(terms) + 1))
+    return Fraction(sum(c * (lcm // m) for m, c in enumerate(terms, 1)), lcm * p.den)
 
 
 # ---------------------------------------------------------------------------
@@ -199,8 +292,8 @@ class BiPoly:
     def coeffs(self) -> tuple[tuple[Fraction, ...], ...]:
         """``coeffs[i][j]`` multiplies ``x**i * s**j``: a rectangular matrix
         with trailing all-zero rows and columns trimmed, ``()`` for zero."""
-        width = max((len(r.coeffs) for r in self.rows), default=0)
-        return tuple(r.coeffs + (Fraction(0),) * (width - len(r.coeffs)) for r in self.rows)
+        width = max((len(r.nums) for r in self.rows), default=0)
+        return tuple(r.coeffs + (Fraction(0),) * (width - len(r.nums)) for r in self.rows)
 
     @property
     def is_zero(self) -> bool:
@@ -212,7 +305,7 @@ class BiPoly:
 
     @property
     def s_degree(self) -> int | None:
-        return max(len(r.coeffs) for r in self.rows) - 1 if self.rows else None
+        return max(len(r.nums) for r in self.rows) - 1 if self.rows else None
 
     def __add__(self, other: BiPoly) -> BiPoly:
         pairs = itertools.zip_longest(self.rows, other.rows, fillvalue=UniPoly())
@@ -222,7 +315,8 @@ class BiPoly:
         return BiPoly(tuple(-r for r in self.rows))
 
     def __sub__(self, other: BiPoly) -> BiPoly:
-        return self + (-other)
+        pairs = itertools.zip_longest(self.rows, other.rows, fillvalue=UniPoly())
+        return BiPoly(tuple(a - b for a, b in pairs))
 
     def __mul__(self, other: BiPoly | RationalLike) -> BiPoly:
         if isinstance(other, BiPoly):
@@ -240,7 +334,7 @@ class BiPoly:
     @staticmethod
     def from_x_poly(p: UniPoly) -> BiPoly:
         """Embed a polynomial in x as a BiPoly constant in s."""
-        return BiPoly(tuple((c,) for c in p.coeffs))
+        return BiPoly(tuple(UniPoly.from_integers((c,), p.den) for c in p.nums))
 
     @staticmethod
     def from_s_poly(p: UniPoly) -> BiPoly:
@@ -249,28 +343,47 @@ class BiPoly:
 
 
 def bipoly_subst_s(a: BiPoly, sval: RationalLike) -> UniPoly:
-    """Substitute a rational value for s, leaving a polynomial in x."""
-    return UniPoly(tuple(poly_eval(row, sval) for row in a.rows))
+    """Substitute a rational value for s, leaving a polynomial in x.
+
+    Row i at s = p/q is H_i / (d_i q^deg_i) by :func:`_horner`; the rows are
+    brought over lcm(d_i) q^deg, deg the largest row degree, in integers."""
+    if a.is_zero:
+        return UniPoly()
+    p, q = sval.numerator, sval.denominator
+    top = q ** a.s_degree
+    den = math.lcm(*(row.den for row in a.rows))
+    nums = []
+    for row in a.rows:
+        h, bpow = _horner(row.nums, p, q)
+        nums.append(h * (den // row.den) * (top // bpow))
+    return UniPoly.from_integers(nums, den * top)
 
 
 def bipoly_shift_s(a: BiPoly, offset: RationalLike) -> BiPoly:
-    """Compose s -> s + offset by exact binomial re-expansion of each s power."""
+    """Compose s -> s + offset by exact binomial re-expansion of each s power.
+
+    With offset p/q and D the s-degree, q^D (s + p/q)^j is
+    sum_k C(j, k) p^(j-k) q^(D-j+k) s^k, so each row's numerators are
+    re-expanded by those integer weights and its denominator scaled by q^D.
+    """
     if a.is_zero or offset == 0:
         return a
-    # pascal[j][k] = C(j,k) * offset^(j-k), the expansion of (s + offset)^j
-    pascal = [
-        [math.comb(j, k) * offset ** (j - k) for k in range(j + 1)]
-        for j in range(a.s_degree + 1)
+    p, q, deg = offset.numerator, offset.denominator, a.s_degree
+    # column k holds the weights of s^k, for j = k..deg
+    columns = [
+        [math.comb(j, k) * p ** (j - k) * q ** (deg - j + k) for j in range(k, deg + 1)]
+        for k in range(deg + 1)
     ]
-    out = []
-    for row in a.rows:
-        new_row = [Fraction(0)] * len(row.coeffs)
-        for j, c in enumerate(row.coeffs):
-            if c:
-                for k, w in enumerate(pascal[j]):
-                    new_row[k] += c * w
-        out.append(new_row)
-    return BiPoly(tuple(out))
+    top = q**deg
+    return BiPoly(
+        tuple(
+            UniPoly.from_integers(
+                [sum(map(operator.mul, row.nums[k:], columns[k])) for k in range(len(row.nums))],
+                row.den * top,
+            )
+            for row in a.rows
+        )
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -309,12 +422,6 @@ def series_truncate(a: PowerSeries, order: int) -> PowerSeries:
     return PowerSeries(a.coeffs[: order + 1])
 
 
-def _integer_coeffs(coeffs) -> tuple[list[int], int]:
-    """Rationals as integer numerators over their least common denominator."""
-    d = math.lcm(*(c.denominator for c in coeffs))
-    return [c.numerator * (d // c.denominator) for c in coeffs], d
-
-
 def series_mul(a: PowerSeries, b: PowerSeries) -> PowerSeries:
     """Cauchy product, truncated to the smaller operand order.
 
@@ -327,12 +434,7 @@ def series_mul(a: PowerSeries, b: PowerSeries) -> PowerSeries:
     ac, da = _integer_coeffs(a.coeffs[: order + 1])
     bc, db = _integer_coeffs(b.coeffs[: order + 1])
     den = da * db
-    return PowerSeries(
-        tuple(
-            Fraction(sum(map(operator.mul, ac[: k + 1], bc[k::-1])), den)
-            for k in range(order + 1)
-        )
-    )
+    return PowerSeries(tuple(Fraction(c, den) for c in _conv(ac, bc, order + 1)))
 
 
 def series_invert(a: PowerSeries) -> PowerSeries:

@@ -19,6 +19,7 @@ from __future__ import annotations
 import csv
 import io
 import json
+import math
 from dataclasses import dataclass
 from datetime import datetime, timezone
 from pathlib import Path
@@ -190,15 +191,27 @@ def parse_csv(text: str, kind: str, subst_s: bool = False) -> list:
 # ---------------------------------------------------------------------------
 
 
+def _format_over(num: int, den: int) -> str:
+    """num/den as format_rational writes it, reduced by one gcd (den > 0)."""
+    g = math.gcd(num, den)
+    return str(num // g) if den == g else f"{num // g}/{den // g}"
+
+
+def _serialize_row(p, width: int = 0) -> list[str]:
+    """p's coefficients from its numerators, padded with "0" to width."""
+    return [_format_over(c, p.den) for c in p.nums] + ["0"] * (width - len(p.nums))
+
+
 def _serialize_unipoly(p) -> list[str]:
     # the zero polynomial is written as a single explicit "0"
-    return [format_rational(c) for c in p.coeffs] or ["0"]
+    return _serialize_row(p) or ["0"]
 
 
 def _serialize_bipoly(a) -> list[list[str]]:
     if a.is_zero:
         return [["0"]]
-    return [[format_rational(c) for c in row] for row in a.coeffs]
+    width = a.s_degree + 1
+    return [_serialize_row(row, width) for row in a.rows]
 
 
 def _report_payload(reports) -> list:

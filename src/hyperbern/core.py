@@ -31,6 +31,7 @@ from .algebra import (
     BiPoly,
     PowerSeries,
     UniPoly,
+    _integer_coeffs,
     bipoly_shift_s,
     poly_derivative,
     series_invert,
@@ -138,12 +139,13 @@ def hb_numbers(N: int, n_max: int) -> HBNumberTable:
 
 
 def _appell_polys(values: tuple[Fraction, ...]) -> tuple[UniPoly, ...]:
-    """Appell sequence over a value sequence: p_n(x) = sum_k C(n,k) v_{n-k} x^k."""
-    polys = []
-    for n in range(len(values)):
-        coeffs = tuple(math.comb(n, k) * values[n - k] for k in range(n + 1))
-        polys.append(UniPoly(coeffs))
-    return tuple(polys)
+    """Appell sequence over a value sequence: p_n(x) = sum_k C(n,k) v_{n-k} x^k,
+    built in integers over the values' common denominator."""
+    nums, den = _integer_coeffs(values)
+    return tuple(
+        UniPoly.from_integers([math.comb(n, k) * nums[n - k] for k in range(n + 1)], den)
+        for n in range(len(nums))
+    )
 
 
 def hb_polys(N: int, n_max: int) -> HBPolyTable:
@@ -222,9 +224,7 @@ def hb_higher_polys_recurrence(
         g = math.gcd(den, *acc)
         rows.append([c // g for c in acc])
         dens.append(den // g)
-    polys = tuple(
-        UniPoly(tuple(Fraction(c, d) for c in row)) for row, d in zip(rows, dens)
-    )
+    polys = tuple(UniPoly.from_integers(row, d) for row, d in zip(rows, dens))
     return HBPolyTable(N=N, r=r, polys=polys)
 
 
@@ -233,18 +233,17 @@ def hb_order_step(table: HBPolyTable, n: int) -> UniPoly:
 
         p^(r+1)_n = (1/N)(N - n/r) p^(r)_n + (1/N)(n/r)(x - r) p^(r)_{n-1}
 
-    The division points n/r are exact rationals.  For n = 0 the result is
-    the constant 1; otherwise indices n and n-1 must exist in the table.
+    It is computed as ((N r - n) p_n + n (x - r) p_{n-1}) / (N r), so the
+    arithmetic stays on integer numerators.  For n = 0 the result is the constant 1; otherwise
+    indices n and n-1 must exist in the table.
     """
     if n == 0:
-        return UniPoly((Fraction(1),))
+        return UniPoly((1,))
     if n < 0 or n >= len(table.polys):
         raise IndexError(f"index {n} not covered by table of size {len(table.polys)}")
     N, r = table.N, table.r
-    a = (Fraction(N) - Fraction(n, r)) / N
-    b = Fraction(n, r) / N
-    x_minus_r = UniPoly((Fraction(-r), Fraction(1)))
-    return a * table.polys[n] + b * (x_minus_r * table.polys[n - 1])
+    x_minus_r = UniPoly((-r, 1))
+    return ((N * r - n) * table.polys[n] + n * (x_minus_r * table.polys[n - 1])) / (N * r)
 
 
 def a_poly(N: int, r: int) -> APolyTable:

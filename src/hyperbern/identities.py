@@ -27,7 +27,8 @@ from fractions import Fraction
 from .algebra import (
     PowerSeries,
     UniPoly,
-    _integer_coeffs,
+    _conv,
+    _horner,
     bipoly_subst_s,
     format_rational,
     poly_derivative,
@@ -114,8 +115,8 @@ class _MultinomialEvaluator:
     For a point x = a/b the vector entry p_i(x)/i! is represented as an
     integer u_i over the common scale M = D * n! * b^n (D clears every
     coefficient denominator), so the convolutions in the hot path run on
-    plain integers.  :meth:`scaled_sums` yields each sum as an integer dot
-    product over its scale, which :func:`_first_mismatch` compares in
+    plain integers.  :meth:`scaled_rows` gives each sum as an integer dot
+    product over its scale, which :func:`_first_mismatch_in_rows` compares in
     integers; :meth:`evaluate` divides them into one exact rational.  The
     tests pin both against brute-force composition enumeration.
     """
@@ -123,82 +124,73 @@ class _MultinomialEvaluator:
     def __init__(self, polys, n: int):
         self.n = n
         self.fact_n = math.factorial(n)
-        d = 1
-        for p in polys[: n + 1]:
-            for c in p.coeffs:
-                d = math.lcm(d, c.denominator)
+        polys = polys[: n + 1]
+        d = math.lcm(*(p.den for p in polys))
         self.denom_clear = d
-        self.int_coeffs = [
-            [c.numerator * (d // c.denominator) for c in p.coeffs]
-            for p in polys[: n + 1]
-        ]
+        self.int_coeffs = [[c * (d // p.den) for c in p.nums] for p in polys]
         self.fall = [self.fact_n // math.factorial(i) for i in range(n + 1)]
-        self._scaled: dict = {}  # coordinate -> (integer vector, its scale)
+        self._scaled: dict = {}  # coordinate -> (vector, vector reversed, scale)
 
-    def scaled_sums(self, points):
-        """Yield (point, dot, scale) for each point of an iterable of
-        equal-length tuples of ints or Fractions, in order, where the
-        multinomial sum at the point is n! * dot / scale with integer dot.
+    def _vector(self, x) -> tuple[list[int], list[int], int]:
+        """The integer vector of coordinate x = a/b (entry i is p_i(x)/i!
+        times its scale D * n! * b^n), the vector reversed, and that scale."""
+        if x not in self._scaled:
+            a, b = x.numerator, x.denominator
+            top = b**self.n
+            u = []
+            for coeffs, fall in zip(self.int_coeffs, self.fall):
+                h, bpow = _horner(coeffs, a, b)
+                u.append(h * fall * (top // bpow))
+            self._scaled[x] = u, u[::-1], self.denom_clear * self.fact_n * top
+        return self._scaled[x]
 
-        Each distinct coordinate x = a/b becomes, once per evaluator, an
-        integer vector (entry i is p_i(x)/i! times its scale D * n! * b^n) and
-        that scale.  Consecutive points share the convolution of their common
-        leading coordinates: the stack holds the convolution of each leading
-        run, the empty run being the unit, and is rebuilt only from the first
-        coordinate that changed.  No Fraction is built.
+    def scaled_rows(self, rows):
+        """Yield (prefix, lasts, dots, scale) for each row (prefix, lasts) of
+        an iterable, in order: the multinomial sum at the point
+        prefix + (lasts[j],) is n! * dots[j] / scale with integer dots[j].
+
+        A row's last coordinates share one denominator (a range of integers,
+        or a single rational), so they share the scale.  Each distinct
+        coordinate becomes its integer vector once per evaluator.
+        Consecutive rows share the convolution of their common leading
+        coordinates: the stack holds the convolution of each leading run of
+        the prefix, the empty run being the unit, and is rebuilt only from
+        the first coordinate that changed.  The row's dots are then one
+        comprehension over its last coordinates.  No Fraction is built.
         """
         n = self.n
-
-        def scaled(x) -> tuple[list[int], int]:
-            if x not in self._scaled:
-                a, b = x.numerator, x.denominator
-                apow = [1] * (n + 1)
-                bpow = [1] * (n + 1)
-                for k in range(1, n + 1):
-                    apow[k] = apow[k - 1] * a
-                    bpow[k] = bpow[k - 1] * b
-                u = []
-                for i, coeffs in enumerate(self.int_coeffs):
-                    val = 0
-                    for k, c in enumerate(coeffs):
-                        val += c * apow[k] * bpow[i - k]
-                    u.append(val * self.fall[i] * bpow[n - i])
-                self._scaled[x] = u, self.denom_clear * self.fact_n * bpow[n]
-            return self._scaled[x]
-
         stack = [([1] + [0] * n, 1)]
         prev: tuple = ()
-        for point in points:
+        by_lasts: dict = {}  # lasts -> (its reversed vectors, their scale)
+        for prefix, lasts in rows:
             # stack[j] is the convolution of prev[:j]
             k = 0
-            while k < len(stack) - 1 and point[k] == prev[k]:
+            while k < len(stack) - 1 and prefix[k] == prev[k]:
                 k += 1
             del stack[k + 1 :]
-            for x in point[k:-1]:
+            for x in prefix[k:]:
                 conv, m_total = stack[-1]
-                u, m = scaled(x)
+                u, _, m = self._vector(x)
                 # the unit convolved with a vector is that vector
-                stack.append((u if len(stack) == 1 else _int_conv_trunc(conv, u, n), m_total * m))
-            prev = point
+                stack.append((u if len(stack) == 1 else _conv(conv, u, n + 1), m_total * m))
+            prev = prefix
             conv, m_total = stack[-1]
-            u, m = scaled(point[-1])
-            yield point, sum(map(operator.mul, conv, reversed(u))), m_total * m
+            if lasts not in by_lasts:
+                vectors = [self._vector(x) for x in lasts]
+                by_lasts[lasts] = [rev for _, rev, _ in vectors], vectors[0][2]
+            revs, m = by_lasts[lasts]
+            yield prefix, lasts, [sum(map(operator.mul, conv, rev)) for rev in revs], m_total * m
 
     def evaluate(self, points):
-        """Yield (point, multinomial sum at the point) for each point, as
-        :meth:`scaled_sums` orders them, the sum as one exact Fraction."""
-        for point, dot, scale in self.scaled_sums(points):
-            yield point, Fraction(self.fact_n * dot, scale)
+        """Yield (point, multinomial sum at the point) for each point, in
+        order, the sum as one exact Fraction."""
+        for prefix, lasts, (dot,), scale in self.scaled_rows(_point_rows(points)):
+            yield prefix + lasts, Fraction(self.fact_n * dot, scale)
 
 
-def _int_conv_trunc(a: list[int], b: list[int], n: int) -> list[int]:
-    out = []
-    for k in range(n + 1):
-        acc = 0
-        for i in range(k + 1):
-            acc += a[i] * b[k - i]
-        out.append(acc)
-    return out
+def _point_rows(points):
+    """Each point as a row of its own: (all but the last coordinate, (last,))."""
+    return ((point[:-1], point[-1:]) for point in points)
 
 
 def _cell_rng(seed: int, name: str, *index: int) -> random.Random:
@@ -284,14 +276,7 @@ def _closed_form(N: int, r: int, n: int, entries, polys) -> UniPoly:
     for i, entry in enumerate(entries):
         weight = (-1) ** i * math.comb(n, i) * math.factorial(i)
         acc = acc + weight * (bipoly_subst_s(entry, s_val) * polys[n - i])
-    return acc * Fraction(1, N ** (r - 1))
-
-
-def _integer_poly(p: UniPoly) -> tuple[list[int], int]:
-    """p as integer coefficients over one positive denominator (the zero
-    polynomial as [0] over 1)."""
-    nums, d = _integer_coeffs(p.coeffs)
-    return nums or [0], d
+    return acc / N ** (r - 1)
 
 
 def _dot_target(int_sides, x_sum, scale: int, fact_n: int) -> int | None:
@@ -299,48 +284,64 @@ def _dot_target(int_sides, x_sum, scale: int, fact_n: int) -> int | None:
     at x_sum, or None if no integer is (a side needs a non-integer, or two
     sides need different ones).
 
-    A side c_k / d (k = 0..deg) at x_sum = a/b is H / (d * b^deg) with
-    H = sum_k c_k a^k b^(deg-k) by Horner's scheme in integers, so the dot it
-    needs is H * scale / (n! * d * b^deg)."""
+    A side with numerators c_k over d at x_sum = a/b is H / (d * b^deg) by
+    Horner's scheme in integers, so the dot it needs is
+    H * scale / (n! * d * b^deg)."""
     a, b = x_sum.numerator, x_sum.denominator
     wanted = set()
-    for coeffs, d in int_sides:
-        h, bpow = 0, 1
-        for c in reversed(coeffs):
-            h = h * a + c * bpow
-            bpow *= b
-        q, rem = divmod(h * scale, fact_n * d * (bpow // b))  # bpow = b^(deg+1)
+    for nums, d in int_sides:
+        h, bpow = _horner(nums, a, b)
+        q, rem = divmod(h * scale, fact_n * d * bpow)
         wanted.add(None if rem else q)
     return wanted.pop() if len(wanted) == 1 else None
 
 
-def _first_mismatch(evaluator: _MultinomialEvaluator, points, sides):
-    """Compare the multinomial sum at each point with every side polynomial
-    at the point's coordinate sum, in integers.
+def _first_mismatch_in_rows(evaluator: _MultinomialEvaluator, rows, sides):
+    """Compare the multinomial sum at each point of each row with every side
+    polynomial at the point's coordinate sum, in integers.
 
-    Each side is converted once to integer coefficients over one
-    denominator.  The evaluator gives each sum as n! * dot / scale; for each
-    (coordinate sum, scale) the integer target dot must equal is computed
-    once (see :func:`_dot_target`), so a point costs one integer comparison,
-    and a point whose target is not an integer is a mismatch.  Fractions are
-    built only for the counterexample.
+    A row is (prefix, lasts): the points prefix + (x,) for x in lasts, as
+    :meth:`_MultinomialEvaluator.scaled_rows` takes them.  The evaluator
+    gives each sum as n! * dot / scale, and a point whose dot differs from
+    its integer target (see :func:`_dot_target`) is a mismatch, as is a
+    point whose target is not an integer.  A row whose lasts is a range
+    holds nonnegative integer points, all at one scale: its targets are a
+    slice of one list per scale, indexed by the integer coordinate sum and
+    extended as needed, so the row is compared with one list comparison.
+    Other rows compute each point's target.  Fractions are built only for
+    the counterexample.
 
     Returns the number of points checked and the first (point, lhs, side
     values) where some side differs, or None.
     """
-    int_sides = [_integer_poly(side) for side in sides]
-    targets: dict = {}
+    int_sides = [(side.nums, side.den) for side in sides]
+    fact_n = evaluator.fact_n
+    by_sum: dict[int, list] = {}  # scale -> targets at the integer sums 0, 1, ...
     checked = 0
-    for point, dot, scale in evaluator.scaled_sums(points):
-        checked += 1
-        x_sum = sum(point)
-        key = x_sum, scale
-        if key not in targets:
-            targets[key] = _dot_target(int_sides, x_sum, scale, evaluator.fact_n)
-        if dot != targets[key]:
-            lhs = Fraction(evaluator.fact_n * dot, scale)
-            return checked, (point, lhs, [poly_eval(side, x_sum) for side in sides])
+    for prefix, lasts, dots, scale in evaluator.scaled_rows(rows):
+        x0 = sum(prefix)
+        if type(lasts) is range:
+            targets = by_sum.setdefault(scale, [])
+            stop = x0 + lasts.stop
+            while len(targets) < stop:
+                targets.append(_dot_target(int_sides, len(targets), scale, fact_n))
+            wanted = targets[x0 + lasts.start : stop]
+        else:
+            wanted = [_dot_target(int_sides, x0 + x, scale, fact_n) for x in lasts]
+        if dots == wanted:
+            checked += len(dots)
+            continue
+        j = next(j for j, (dot, want) in enumerate(zip(dots, wanted)) if dot != want)
+        x_sum = x0 + lasts[j]
+        lhs = Fraction(fact_n * dots[j], scale)
+        mismatch = prefix + (lasts[j],), lhs, [poly_eval(side, x_sum) for side in sides]
+        return checked + j + 1, mismatch
     return checked, None
+
+
+def _first_mismatch(evaluator: _MultinomialEvaluator, points, sides):
+    """:func:`_first_mismatch_in_rows` over points, each a row of its own."""
+    return _first_mismatch_in_rows(evaluator, _point_rows(points), sides)
 
 
 def check_kamano(N: int, r: int, n: int) -> VerifyReport:
@@ -379,7 +380,8 @@ def check_sums_of_products(
     equal the closed form with the bivariate coefficient polynomials.
 
     grid mode evaluates the full integer grid {0..n}^r, a complete
-    certification since every variable occurs with degree <= n; sample mode
+    certification since every variable occurs with degree <= n, one row of
+    n + 1 points per prefix in {0..n}^(r-1); sample mode
     draws ``sample_count`` seeded rational points with numerator and
     denominator bounded by 100 and records them for replay.
     """
@@ -394,9 +396,15 @@ def check_sums_of_products(
     higher = _table("hb_higher_polys_series", N, r, n).polys[n]
     rhs = _closed_form(N, r, n, _table("a_poly", N, r).entries, polys1)
 
+    evaluator = _MultinomialEvaluator(polys1, n)
+    sides = [higher, rhs]
+    # the collapsed side and the closed form depend on the point only through
+    # its sum; the direct side is still computed at every point
     if mode == "grid":
         details = {"mode": "grid"}
-        points = itertools.product(range(n + 1), repeat=r)
+        last = range(n + 1)
+        rows = ((prefix, last) for prefix in itertools.product(last, repeat=r - 1))
+        checked, mismatch = _first_mismatch_in_rows(evaluator, rows, sides)
     else:
         rng = _cell_rng(seed, "sums", N, r, n)
         points = [
@@ -408,10 +416,7 @@ def check_sums_of_products(
             "sample_count": sample_count,
             "points": [[format_rational(c) for c in pt] for pt in points],
         }
-
-    # the collapsed side and the closed form depend on the point only through
-    # its sum; the direct side is still computed at every point
-    checked, mismatch = _first_mismatch(_MultinomialEvaluator(polys1, n), points, [higher, rhs])
+        checked, mismatch = _first_mismatch(evaluator, points, sides)
     if mismatch is None:
         return VerifyReport("sums", params, PASS, checked, details=details)
     point, lhs_direct, (lhs_collapsed, rhs_val) = mismatch
@@ -457,8 +462,10 @@ def check_two_three_sums(N: int, n: int) -> VerifyReport:
 
     checked = 0
     for fold, closed_form in closed_forms.items():
-        points = itertools.combinations_with_replacement(range(n + 1), fold)
-        fold_checked, mismatch = _first_mismatch(evaluator, points, [closed_form])
+        # the sorted tuples with a given prefix are one row of last coordinates
+        prefixes = itertools.combinations_with_replacement(range(n + 1), fold - 1)
+        rows = ((prefix, range(prefix[-1], n + 1)) for prefix in prefixes)
+        fold_checked, mismatch = _first_mismatch_in_rows(evaluator, rows, [closed_form])
         checked += fold_checked
         if mismatch is not None:
             point, lhs, (rhs,) = mismatch
@@ -611,7 +618,7 @@ def check_appell_basics(N: int, r: int, n_max: int) -> VerifyReport:
 
     for n, p in enumerate(table.polys):
         checked += 1
-        if p.degree != n or p.leading_coefficient != 1:
+        if p.degree != n or p.nums[-1] != p.den:
             return fail("monic", n=n, coeffs=[format_rational(c) for c in p.coeffs])
         checked += 1
         if poly_eval(p, 0) != values[n]:
@@ -624,7 +631,7 @@ def check_appell_basics(N: int, r: int, n_max: int) -> VerifyReport:
         dp = p
         for step in range(1, n + 1):
             dp = poly_derivative(dp)
-            expect = Fraction(math.factorial(n), math.factorial(n - step)) * table.polys[n - step]
+            expect = math.perm(n, step) * table.polys[n - step]
             checked += 1
             if dp != expect:
                 return fail(

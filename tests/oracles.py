@@ -9,11 +9,15 @@ number table by exact series inversion, and the order-r recurrence in
 Fraction arithmetic.  So are the former Fraction bodies of the series
 kernels ``series_mul`` and ``series_invert``, which the package now runs on
 integer numerators; the number oracle inverts through the Fraction one.
+Likewise :class:`FractionPoly` and the ``*_fractions`` polynomial functions
+are the former Fraction bodies of ``UniPoly`` and its operations, which the
+package now runs on integer numerators over one denominator.
 """
 
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass
 from fractions import Fraction
 
 from hyperbern.algebra import BiPoly, PowerSeries, UniPoly
@@ -153,3 +157,91 @@ def bipoly_subst_x(a: BiPoly, xval: int | Fraction) -> UniPoly:
             out[j] += c * power
         power *= xval
     return UniPoly(tuple(out))
+
+
+# --- the former Fraction UniPoly and its operations ------------------------
+
+
+@dataclass(frozen=True)
+class FractionPoly:
+    """Dense polynomial with ``coeffs[k]`` (a Fraction) multiplying ``x**k``,
+    trailing zeros trimmed; every operation is term-by-term Fraction
+    arithmetic."""
+
+    coeffs: tuple[Fraction, ...] = ()
+
+    def __post_init__(self) -> None:
+        cs = [Fraction(c) for c in self.coeffs]
+        while cs and cs[-1] == 0:
+            cs.pop()
+        object.__setattr__(self, "coeffs", tuple(cs))
+
+    def __add__(self, other: FractionPoly) -> FractionPoly:
+        a, b = self.coeffs, other.coeffs
+        if len(a) < len(b):
+            a, b = b, a
+        out = list(a)
+        for k, c in enumerate(b):
+            out[k] += c
+        return FractionPoly(tuple(out))
+
+    def __neg__(self) -> FractionPoly:
+        return FractionPoly(tuple(-c for c in self.coeffs))
+
+    def __sub__(self, other: FractionPoly) -> FractionPoly:
+        return self + (-other)
+
+    def __mul__(self, other) -> FractionPoly:
+        if isinstance(other, FractionPoly):
+            if not self.coeffs or not other.coeffs:
+                return FractionPoly()
+            out = [Fraction(0)] * (len(self.coeffs) + len(other.coeffs) - 1)
+            for i, a in enumerate(self.coeffs):
+                for j, b in enumerate(other.coeffs):
+                    out[i + j] += a * b
+            return FractionPoly(tuple(out))
+        c = Fraction(other)
+        return FractionPoly(tuple(a * c for a in self.coeffs))
+
+    __rmul__ = __mul__
+
+
+def poly_eval_fractions(p: FractionPoly, v) -> Fraction:
+    acc = Fraction(0)
+    for c in reversed(p.coeffs):
+        acc = acc * v + c
+    return acc
+
+
+def poly_derivative_fractions(p: FractionPoly) -> FractionPoly:
+    return FractionPoly(tuple(k * c for k, c in enumerate(p.coeffs) if k >= 1))
+
+
+def poly_integral_weighted_fractions(p: FractionPoly, n_weight: int) -> Fraction:
+    """integral_0^1 (1-x)^(n_weight-1) p(x) dx, monomial by monomial."""
+    total = Fraction(0)
+    for j in range(n_weight):
+        w = Fraction((-1) ** j * math.comb(n_weight - 1, j))
+        for k, c in enumerate(p.coeffs):
+            total += w * c / (j + k + 1)
+    return total
+
+
+def bipoly_subst_s_fractions(rows: list[FractionPoly], sval) -> FractionPoly:
+    """rows[i] is the polynomial in s multiplying x**i; substitute s = sval."""
+    return FractionPoly(tuple(poly_eval_fractions(row, sval) for row in rows))
+
+
+def bipoly_shift_s_fractions(rows: list[FractionPoly], offset) -> list[FractionPoly]:
+    """Compose s -> s + offset row by row, by binomial re-expansion of each
+    s power, with trailing zero rows trimmed."""
+    out = []
+    for row in rows:
+        new_row = [Fraction(0)] * len(row.coeffs)
+        for j, c in enumerate(row.coeffs):
+            for k in range(j + 1):
+                new_row[k] += c * math.comb(j, k) * Fraction(offset) ** (j - k)
+        out.append(FractionPoly(tuple(new_row)))
+    while out and not out[-1].coeffs:
+        out.pop()
+    return out

@@ -1,4 +1,6 @@
 import math
+import operator
+import pickle
 from fractions import Fraction
 
 import pytest
@@ -22,10 +24,17 @@ from hyperbern.algebra import (
     series_pow,
     series_truncate,
 )
+from hyperbern.core import HBPolyTable, hb_order_step, hb_polys
 from oracles import (
+    FractionPoly,
     beta_moment,
+    bipoly_shift_s_fractions,
+    bipoly_subst_s_fractions,
     bipoly_subst_x,
     pochhammer,
+    poly_derivative_fractions,
+    poly_eval_fractions,
+    poly_integral_weighted_fractions,
     series_invert_fractions,
     series_mul_fractions,
 )
@@ -101,6 +110,79 @@ def test_derivative_then_antiderivative(coeffs):
     assert anti == p - constant
 
 
+# --- integer UniPoly against the Fraction reference ------------------------
+
+# zeros come often, so coefficients vanish inside and at the end of a list
+poly_terms = st.lists(st.one_of(st.just(Fraction(0)), rationals), max_size=6)
+scalars = st.one_of(st.integers(min_value=-30, max_value=30), rationals)
+
+
+def assert_canonical(p):
+    assert type(p.den) is int and p.den > 0
+    assert all(type(c) is int for c in p.nums)
+    if p.nums:
+        assert p.nums[-1] != 0
+        assert math.gcd(p.den, *p.nums) == 1
+    else:
+        assert p.den == 1
+
+
+@given(poly_terms, poly_terms, scalars, rationals)
+@example([], [Fraction(1, 2)], 0, Fraction(3))
+@example([Fraction(2, 3), 0, Fraction(-4, 9)], [Fraction(3, 2), 0, 0, 6], Fraction(-9, 4), 0)
+@example([Fraction(1, 3), 1], [Fraction(-1, 3), -1], 3, Fraction(-1, 2))
+def test_unipoly_matches_fraction_reference(a, b, c, v):
+    p, q = UniPoly(tuple(a)), UniPoly(tuple(b))
+    fp, fq = FractionPoly(tuple(a)), FractionPoly(tuple(b))
+    results = [
+        (p, fp),
+        (p + q, fp + fq),
+        (p - q, fp - fq),
+        (-p, -fp),
+        (p * q, fp * fq),
+        (p * c, fp * c),
+        (c * p, c * fp),
+        (poly_derivative(p), poly_derivative_fractions(fp)),
+    ]
+    if c:
+        results.append((p / c, fp * (1 / Fraction(c))))
+    for got, want in results:
+        assert_canonical(got)
+        assert got.coeffs == want.coeffs
+    assert poly_eval(p, v) == poly_eval_fractions(fp, v)
+    for n_weight in range(1, 5):
+        assert poly_integral_weighted(p, n_weight) == poly_integral_weighted_fractions(fp, n_weight)
+
+
+def test_unipoly_division_by_zero():
+    with pytest.raises(ZeroDivisionError):
+        UniPoly((1, 2)) / 0
+
+
+@given(poly_terms, poly_terms, st.integers(min_value=1, max_value=60))
+@example([1, 2], [Fraction(2, 2), Fraction(4, 2)], 6)
+@example([], [0, 0], 5)
+def test_unipoly_equality_is_coefficient_equality(a, b, k):
+    p, q = UniPoly(tuple(a)), UniPoly(tuple(b))
+    assert (p == q) == (p.coeffs == q.coeffs)
+    if p == q:
+        assert hash(p) == hash(q)
+    # the same polynomial over a k-fold denominator, with trailing zero numerators
+    same = UniPoly.from_integers([k * c for c in p.nums] + [0, 0], k * p.den)
+    assert_canonical(same)
+    assert same == p and hash(same) == hash(p) and same.coeffs == p.coeffs
+
+
+def test_unipoly_is_immutable_and_round_trips():
+    p = UniPoly((Fraction(1, 6), -1, 1))
+    assert (p.nums, p.den) == ((1, -6, 6), 6)
+    with pytest.raises(AttributeError):
+        p.den = 1
+    assert pickle.loads(pickle.dumps(p)) == p
+    with pytest.raises(ValueError):
+        UniPoly.from_integers((1, 2), 0)
+
+
 # --- bivariate polynomials -------------------------------------------------
 
 
@@ -170,6 +252,22 @@ def test_bipoly_shift_s_matches_direct_eval(rows, offset, x0, s0):
     lhs = poly_eval(bipoly_subst_x(shifted, x0), s0)
     rhs = poly_eval(bipoly_subst_x(a, x0), s0 + offset)
     assert lhs == rhs
+
+
+@given(bipolys, rationals, rationals)
+@example(BiPoly(((1, 2, 3), (), (0, Fraction(-1, 2)))), Fraction(-5, 2), Fraction(2, 3))
+@example(BiPoly(((Fraction(1, 3), 0, 1),)), Fraction(7), Fraction(0))
+def test_bipoly_shift_and_subst_match_fraction_reference(a, offset, s):
+    rows = [FractionPoly(r.coeffs) for r in a.rows]
+    shifted = bipoly_shift_s(a, offset)
+    for row in shifted.rows:
+        assert_canonical(row)
+    assert [r.coeffs for r in shifted.rows] == [
+        r.coeffs for r in bipoly_shift_s_fractions(rows, offset)
+    ]
+    got = bipoly_subst_s(a, s)
+    assert_canonical(got)
+    assert got.coeffs == bipoly_subst_s_fractions(rows, s).coeffs
 
 
 def test_bipoly_subst_x_at_zero_takes_first_row():
@@ -333,6 +431,38 @@ def test_series_invert_builds_one_fraction_per_coefficient(monkeypatch):
     # work count: Fraction arithmetic term by term would build 1,761 here
     b = series([Fraction(7, k + 1) for k in range(41)])
     assert fractions_built(monkeypatch, series_invert, b) <= b.order + 1
+
+
+def test_unipoly_arithmetic_builds_no_fraction(monkeypatch):
+    # work count: Fraction arithmetic term by term would build hundreds here
+    p = UniPoly(tuple(Fraction((-1) ** k * (k + 2), 3 * k + 1) for k in range(12)))
+    q = UniPoly(tuple(Fraction(7, k + 1) for k in range(9)))
+    c = Fraction(-3, 4)
+    calls = [
+        (operator.add, p, q),
+        (operator.sub, p, q),
+        (operator.neg, p),
+        (operator.mul, p, q),
+        (operator.mul, p, 6),
+        (operator.mul, p, c),
+        (operator.truediv, p, c),
+        (poly_derivative, p),
+    ]
+    for fn, *args in calls:
+        assert fractions_built(monkeypatch, fn, *args) == 0, fn
+
+
+def test_poly_eval_builds_one_fraction(monkeypatch):
+    p = UniPoly(tuple(Fraction(7, k + 1) for k in range(9)))
+    assert fractions_built(monkeypatch, poly_eval, p, Fraction(-2, 5)) == 1
+    assert fractions_built(monkeypatch, poly_eval, p, 3) == 1
+
+
+def test_hb_order_step_builds_no_fraction(monkeypatch):
+    table = hb_polys(3, 12)
+    order2 = HBPolyTable(3, 2, tuple(hb_order_step(table, n) for n in range(13)))
+    for t in (table, order2):
+        assert fractions_built(monkeypatch, hb_order_step, t, 12) == 0
 
 
 def test_series_truncate():

@@ -29,6 +29,7 @@ from hyperbern.identities import (
     _check_cell,
     _closed_form,
     _first_mismatch,
+    _first_mismatch_in_rows,
     check_appell_basics,
     check_genfun_ode,
     check_kamano,
@@ -125,6 +126,49 @@ def _walks(draw):
 def test_integer_walk_matches_fraction_walk(walk):
     polys, n, points, sides = walk
     got = _first_mismatch(_MultinomialEvaluator(polys, n), points, sides)
+    assert got == _fraction_walk(polys, n, points, sides)
+
+
+@st.composite
+def _row_walks(draw):
+    level = draw(st.integers(min_value=1, max_value=3))
+    n = draw(st.integers(min_value=0, max_value=5))
+    fold = draw(st.integers(min_value=1, max_value=3))
+    # grid rows of nonnegative integer points, as the grid checks pass them,
+    # mixed with rows of one point anywhere
+    grid_row = st.tuples(
+        st.tuples(*[st.integers(min_value=0, max_value=4)] * (fold - 1)),
+        st.tuples(st.integers(0, 5), st.integers(1, 4)).map(lambda t: range(t[0], t[0] + t[1])),
+    )
+    point_row = st.tuples(st.tuples(*[_pooled] * (fold - 1)), st.tuples(_pooled))
+    rows = draw(st.lists(st.one_of(grid_row, point_row), min_size=1, max_size=5))
+    points = [prefix + (x,) for prefix, lasts in rows for x in lasts]
+    exact = hb_higher_polys_series(level, fold, n).polys[n]
+    sums = sorted(set(map(sum, points)))
+
+    def wrong_at(chosen, q):
+        # wrong exactly at the points whose coordinate sum is chosen
+        vanish = UniPoly((1,))
+        for s in sums:
+            if s not in chosen:
+                vanish = vanish * UniPoly((-s, 1))
+        return exact + q * vanish
+
+    side = st.one_of(
+        st.just(exact),
+        st.just(exact + UniPoly((Fraction(1, 1_000_000_007),))),
+        st.builds(wrong_at, st.sets(st.sampled_from(sums), max_size=2), rationals),
+        st.lists(rationals, max_size=n + 2).map(lambda c: UniPoly(tuple(c))),
+    )
+    sides = draw(st.lists(side, min_size=1, max_size=2))
+    return hb_polys(level, n).polys, n, rows, points, sides
+
+
+@given(_row_walks())
+def test_row_walk_matches_point_walk(walk):
+    polys, n, rows, points, sides = walk
+    got = _first_mismatch_in_rows(_MultinomialEvaluator(polys, n), rows, sides)
+    assert got == _first_mismatch(_MultinomialEvaluator(polys, n), points, sides)
     assert got == _fraction_walk(polys, n, points, sides)
 
 
