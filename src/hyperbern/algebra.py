@@ -160,12 +160,13 @@ class UniPoly:
         while end and not nums[end - 1]:
             end -= 1
         g = math.gcd(den, *nums)  # den itself when every numerator is zero
+        nums = nums[:end]
         p = object.__new__(UniPoly)
-        object.__setattr__(p, "nums", tuple(nums[:end]) if g == 1 else tuple(c // g for c in nums[:end]))
+        object.__setattr__(p, "nums", tuple(nums) if g == 1 else tuple(c // g for c in nums))
         object.__setattr__(p, "den", den // g)
         return p
 
-    def __setattr__(self, name, value):
+    def __setattr__(self, *args):
         raise AttributeError("UniPoly is immutable")
 
     __delattr__ = __setattr__
@@ -315,8 +316,7 @@ class BiPoly:
         return BiPoly(tuple(-r for r in self.rows))
 
     def __sub__(self, other: BiPoly) -> BiPoly:
-        pairs = itertools.zip_longest(self.rows, other.rows, fillvalue=UniPoly())
-        return BiPoly(tuple(a - b for a, b in pairs))
+        return self + (-other)
 
     def __mul__(self, other: BiPoly | RationalLike) -> BiPoly:
         if isinstance(other, BiPoly):

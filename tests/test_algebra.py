@@ -178,6 +178,8 @@ def test_unipoly_is_immutable_and_round_trips():
     assert (p.nums, p.den) == ((1, -6, 6), 6)
     with pytest.raises(AttributeError):
         p.den = 1
+    with pytest.raises(AttributeError):
+        del p.nums
     assert pickle.loads(pickle.dumps(p)) == p
     with pytest.raises(ValueError):
         UniPoly.from_integers((1, 2), 0)
