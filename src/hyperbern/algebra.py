@@ -7,7 +7,8 @@ integer Cauchy product (``_conv``), and ``fractions.Fraction`` appears only
 at the edges: as the coefficients a caller passes in or reads out, and as
 the value of an evaluation.
 
-Three container types:
+Three container types, all on the one rational representation, integer
+numerators over one denominator:
 
 * :class:`UniPoly` -- dense univariate polynomial, held as integer numerators
   ``nums`` (ascending powers) over one positive denominator ``den``.  Its
@@ -18,15 +19,12 @@ Three container types:
   the reduced ``Fraction`` coefficients on each read.
 * :class:`BiPoly` -- polynomial in ``x`` whose coefficients, its rows, are
   ``UniPoly``s in ``s``; its arithmetic is ``UniPoly``'s, row by row.
-* :class:`PowerSeries` -- truncated formal power series in ``t`` with an
-  explicit truncation order; binary operations take the min of the operand
-  orders and never claim precision beyond it.  Its coefficients are
-  ``Fraction``s; the kernels ``series_mul`` and ``series_invert`` write each
-  operand once as integer numerators over one common denominator
-  (``_integer_coeffs``), run on those numerators and build one reduced
-  ``Fraction`` per output coefficient.  A numerator row and its denominator
-  are only ever scaled by the same integer, so each output equals the
-  rational the ``Fraction`` recurrence would give.
+* :class:`PowerSeries` -- truncated formal power series in ``t``: a
+  ``UniPoly`` plus the order through which it is exact.  Binary operations
+  take the min of the operand orders and never claim precision beyond it.
+  ``series_mul`` and ``series_invert`` run on the numerators; a numerator row
+  and its denominator are only ever scaled by the same integer, so each
+  output equals the rational the ``Fraction`` recurrence would give.
 """
 
 from __future__ import annotations
@@ -46,6 +44,7 @@ __all__ = [
     "BiPoly",
     "PowerSeries",
     "format_rational",
+    "format_coeffs",
     "parse_rational",
     "poly_eval",
     "poly_derivative",
@@ -67,6 +66,17 @@ def format_rational(q: RationalLike) -> str:
     if q.denominator == 1:
         return str(q.numerator)
     return f"{q.numerator}/{q.denominator}"
+
+
+def format_coeffs(p: UniPoly, width: int = 0) -> list[str]:
+    """p's coefficients as format_rational writes them, each reduced from
+    (nums, den) by one gcd, padded with "0" to width."""
+    den = p.den
+    out = []
+    for c in p.nums:
+        g = math.gcd(c, den)
+        out.append(str(c // g) if den == g else f"{c // g}/{den // g}")
+    return out + ["0"] * (width - len(out))
 
 
 def parse_rational(text: str) -> Fraction:
@@ -391,50 +401,53 @@ def bipoly_shift_s(a: BiPoly, offset: RationalLike) -> BiPoly:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class PowerSeries:
-    """Formal power series in t, exact through ``t**order``.
+    """Formal power series in t, exact through ``t**order``: the canonical
+    :class:`UniPoly` of its coefficients, plus the order, which keeps the
+    precision that trimmed trailing zeros drop.  The constructor takes the
+    ``order + 1`` rational coefficients, :meth:`of` a polynomial and an order;
+    ``coeffs`` builds the ``order + 1`` reduced Fractions on every read."""
 
-    ``coeffs`` always has exactly ``order + 1`` entries; the length is the
-    precision bookkeeping, so trailing zeros are kept.
-    """
+    poly: UniPoly
+    order: int
 
-    coeffs: tuple[Fraction, ...]
-
-    def __post_init__(self) -> None:
-        cs = tuple(c if type(c) is Fraction else Fraction(c) for c in self.coeffs)
-        if not cs:
+    def __init__(self, coeffs) -> None:
+        if not coeffs:
             raise ValueError("a series needs at least its constant term")
-        object.__setattr__(self, "coeffs", cs)
+        vars(self).update(poly=UniPoly(coeffs), order=len(coeffs) - 1)
+
+    @staticmethod
+    def of(poly: UniPoly, order: int) -> PowerSeries:
+        """The series ``poly + O(t**(order+1))``: poly truncated through t**order."""
+        if len(poly.nums) > order + 1:
+            poly = UniPoly.from_integers(poly.nums[: order + 1], poly.den)
+        s = object.__new__(PowerSeries)
+        vars(s).update(poly=poly, order=order)
+        return s
 
     @property
-    def order(self) -> int:
-        return len(self.coeffs) - 1
+    def coeffs(self) -> tuple[Fraction, ...]:
+        return self.poly.coeffs + (Fraction(0),) * (self.order + 1 - len(self.poly.nums))
 
     @staticmethod
     def one(order: int) -> PowerSeries:
-        return PowerSeries((Fraction(1),) + (Fraction(0),) * order)
+        return PowerSeries.of(UniPoly.from_integers((1,)), order)
 
 
 def series_truncate(a: PowerSeries, order: int) -> PowerSeries:
     if order > a.order:
         raise ValueError(f"cannot extend order {a.order} series to order {order}")
-    return PowerSeries(a.coeffs[: order + 1])
+    return PowerSeries.of(a.poly, order)
 
 
 def series_mul(a: PowerSeries, b: PowerSeries) -> PowerSeries:
-    """Cauchy product, truncated to the smaller operand order.
-
-    With a = A/d_a and b = B/d_b over integer numerators, the product's
-    coefficient k is ``sum_i A_i B_{k-i} / (d_a d_b)``: the sum runs exactly
-    in ints, and one Fraction, reduced by its constructor, is built per
-    coefficient.
-    """
+    """Cauchy product, truncated to the smaller operand order: the truncated
+    integer product of the numerators over the product of the denominators."""
     order = min(a.order, b.order)
-    ac, da = _integer_coeffs(a.coeffs[: order + 1])
-    bc, db = _integer_coeffs(b.coeffs[: order + 1])
-    den = da * db
-    return PowerSeries(tuple(Fraction(c, den) for c in _conv(ac, bc, order + 1)))
+    p, q = a.poly, b.poly
+    product = UniPoly.from_integers(_conv(p.nums, q.nums, order + 1), p.den * q.den)
+    return PowerSeries.of(product, order)
 
 
 def series_invert(a: PowerSeries) -> PowerSeries:
@@ -448,11 +461,11 @@ def series_invert(a: PowerSeries) -> PowerSeries:
     S = -sum_{j=1..k} A_j P_{k-j} (S = d at k = 0).  Reduced, b_k = n/q;
     when q does not divide D, the row and D are scaled by lcm(D, q)/D, so D
     stays the least common denominator of the row, and P_k = n D/q.  Every
-    step is integer arithmetic, and one Fraction is built per coefficient.
+    step is integer arithmetic; no Fraction is built.
     """
-    if a.coeffs[0] == 0:
+    ac, d = a.poly.nums, a.poly.den
+    if not ac or not ac[0]:
         raise ZeroDivisionError("series with zero constant term is not invertible")
-    ac, d = _integer_coeffs(a.coeffs)
     if ac[0] < 0:
         ac, d = [-c for c in ac], -d
     lead, tail = ac[0], ac[1:]
@@ -468,7 +481,7 @@ def series_invert(a: PowerSeries) -> PowerSeries:
             nums = [scale * p for p in nums]
             den *= scale
         nums.append(n * (den // q))
-    return PowerSeries(tuple(Fraction(p, den) for p in nums))
+    return PowerSeries.of(UniPoly.from_integers(nums, den), a.order)
 
 
 def series_pow(a: PowerSeries, r: int) -> PowerSeries:

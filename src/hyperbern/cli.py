@@ -18,16 +18,17 @@ from __future__ import annotations
 
 import csv
 import io
+import itertools
 import json
-import math
+import sys
+from contextlib import nullcontext
 from dataclasses import dataclass
 from datetime import datetime, timezone
-from pathlib import Path
 
 import click
 
 from . import __version__
-from .algebra import bipoly_subst_s, format_rational, parse_rational
+from .algebra import bipoly_subst_s, format_coeffs, format_rational, parse_rational
 from .core import a_poly, hb_higher_polys_series, hb_numbers
 from .identities import ALL_SUITES, FAIL, MODES, REPORT_PARAMS, SuiteConfig, VacuousRun, run_suite
 
@@ -68,12 +69,18 @@ def _meta() -> dict:
 # ---------------------------------------------------------------------------
 
 
-def render_json(record: OutputRecord, with_meta: bool = True) -> str:
+def render_json(record: OutputRecord, out, with_meta: bool = True) -> None:
+    """Write the record to the text stream ``out`` as indented JSON: the
+    encoder's chunks, which ``json.dumps`` would join, in pieces of 4096."""
     doc: dict = {"schema": SCHEMA_VERSION, "kind": record.kind, "params": record.params}
     if with_meta:
         doc["meta"] = _meta()
     doc["data"] = record.payload
-    return json.dumps(doc, indent=2) + "\n"
+    chunks = json.JSONEncoder(indent=2).iterencode(doc)
+    # a write per chunk would be a system call per chunk on an unbuffered stdout
+    while piece := "".join(itertools.islice(chunks, 4096)):
+        out.write(piece)
+    out.write("\n")
 
 
 def parse_json(text: str) -> OutputRecord:
@@ -88,8 +95,8 @@ def parse_json(text: str) -> OutputRecord:
 # ---------------------------------------------------------------------------
 
 
-def render_csv(record: OutputRecord, with_meta: bool = True) -> str:
-    buf = io.StringIO()
+def render_csv(record: OutputRecord, out, with_meta: bool = True) -> None:
+    buf = io.StringIO()  # one write: on an unbuffered stdout each row would be a system call
     if with_meta:
         for key, value in _meta().items():
             buf.write(f"# {key}: {value}\n")
@@ -99,39 +106,34 @@ def render_csv(record: OutputRecord, with_meta: bool = True) -> str:
         writer.writerow(["n", "value"])
         for row in record.payload:
             writer.writerow([row["n"], row["value"]])
-    elif kind == "polys":
-        width = max((len(r["coeffs"]) for r in record.payload), default=1)
-        writer.writerow(["n"] + [f"c{k}" for k in range(width)])
+    elif kind == "apoly" and record.params.get("subst_s") is None:
+        writer.writerow(["i", "x_pow", "s_pow", "value"])
         for row in record.payload:
-            writer.writerow([row["n"]] + list(row["coeffs"]))
-    elif kind == "apoly":
-        if record.params.get("subst_s") is not None:
-            width = max((len(r["coeffs"]) for r in record.payload), default=1)
-            writer.writerow(["i"] + [f"c{k}" for k in range(width)])
-            for row in record.payload:
-                writer.writerow([row["i"]] + list(row["coeffs"]))
-        else:
-            writer.writerow(["i", "x_pow", "s_pow", "value"])
-            for row in record.payload:
-                for x_pow, s_row in enumerate(row["coeffs_xs"]):
-                    for s_pow, value in enumerate(s_row):
-                        writer.writerow([row["i"], x_pow, s_pow, value])
+            for x_pow, s_row in enumerate(row["coeffs_xs"]):
+                for s_pow, value in enumerate(s_row):
+                    writer.writerow([row["i"], x_pow, s_pow, value])
+    elif kind in ("polys", "apoly"):  # one row of coefficients per index
+        index = "n" if kind == "polys" else "i"
+        width = max((len(r["coeffs"]) for r in record.payload), default=1)
+        writer.writerow([index] + [f"c{k}" for k in range(width)])
+        for row in record.payload:
+            writer.writerow([row[index]] + list(row["coeffs"]))
     elif kind == "verify":
         writer.writerow(_VERIFY_COLUMNS)
         for row in record.payload:
-            out = [row["identity"]]
+            cells = [row["identity"]]
             for key in REPORT_PARAMS:
                 v = row["params"].get(key)
-                out.append("" if v is None else v)
-            out.append(row["status"])
-            out.append(row["cells_checked"])
+                cells.append("" if v is None else v)
+            cells.append(row["status"])
+            cells.append(row["cells_checked"])
             for key in ("details", "counterexample"):
                 v = row.get(key)
-                out.append("" if v is None else json.dumps(v, separators=(",", ":")))
-            writer.writerow(out)
+                cells.append("" if v is None else json.dumps(v, separators=(",", ":")))
+            writer.writerow(cells)
     else:
         raise ValueError(f"unknown record kind {kind!r}")
-    return buf.getvalue()
+    out.write(buf.getvalue())
 
 
 def parse_csv(text: str, kind: str, subst_s: bool = False) -> list:
@@ -141,10 +143,8 @@ def parse_csv(text: str, kind: str, subst_s: bool = False) -> list:
     header, rows = rows[0], rows[1:]
     if kind == "numbers":
         return [{"n": int(r[0]), "value": r[1]} for r in rows]
-    if kind == "polys":
-        return [{"n": int(r[0]), "coeffs": r[1:]} for r in rows]
-    if kind == "apoly" and subst_s:
-        return [{"i": int(r[0]), "coeffs": r[1:]} for r in rows]
+    if kind == "polys" or (kind == "apoly" and subst_s):  # the index column, then coefficients
+        return [{header[0]: int(r[0]), "coeffs": r[1:]} for r in rows]
     if kind == "apoly":
         matrices: dict[int, dict[tuple[int, int], str]] = {}
         for r in rows:
@@ -191,27 +191,16 @@ def parse_csv(text: str, kind: str, subst_s: bool = False) -> list:
 # ---------------------------------------------------------------------------
 
 
-def _format_over(num: int, den: int) -> str:
-    """num/den as format_rational writes it, reduced by one gcd (den > 0)."""
-    g = math.gcd(num, den)
-    return str(num // g) if den == g else f"{num // g}/{den // g}"
-
-
-def _serialize_row(p, width: int = 0) -> list[str]:
-    """p's coefficients from its numerators, padded with "0" to width."""
-    return [_format_over(c, p.den) for c in p.nums] + ["0"] * (width - len(p.nums))
-
-
 def _serialize_unipoly(p) -> list[str]:
     # the zero polynomial is written as a single explicit "0"
-    return _serialize_row(p) or ["0"]
+    return format_coeffs(p) or ["0"]
 
 
 def _serialize_bipoly(a) -> list[list[str]]:
     if a.is_zero:
         return [["0"]]
     width = a.s_degree + 1
-    return [_serialize_row(row, width) for row in a.rows]
+    return [format_coeffs(row, width) for row in a.rows]
 
 
 def _report_payload(reports) -> list:
@@ -260,14 +249,9 @@ def _output_options(default_format: str):
 
 
 def _emit(record: OutputRecord, fmt: str, output: str | None, no_meta: bool) -> None:
-    if fmt == "json":
-        text = render_json(record, with_meta=not no_meta)
-    else:
-        text = render_csv(record, with_meta=not no_meta)
-    if output:
-        Path(output).write_text(text, encoding="utf-8")
-    else:
-        click.echo(text, nl=False)
+    render = render_json if fmt == "json" else render_csv
+    with open(output, "w", encoding="utf-8") if output else nullcontext(sys.stdout) as out:
+        render(record, out, with_meta=not no_meta)
 
 
 @click.group()

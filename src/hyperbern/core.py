@@ -97,10 +97,12 @@ def normalized_denominator(N: int, order: int) -> PowerSeries:
 
     This is the exponential series with its degree-(N-1) Taylor polynomial
     removed, shifted down by the valuation N and rescaled by N!; its
-    reciprocal generates the level-N numbers.  N!/(N+k)! is 1/perm(N+k, k).
+    reciprocal generates the level-N numbers.  It is held as the numerators
+    perm(N+order, order-k) over perm(N+order, order).
     """
     _check_level_order(N, order)
-    return PowerSeries(tuple(Fraction(1, math.perm(N + k, k)) for k in range(order + 1)))
+    nums = [math.perm(N + order, order - k) for k in range(order + 1)]
+    return PowerSeries.of(UniPoly.from_integers(nums, nums[0]), order)
 
 
 def hb_numbers(N: int, n_max: int) -> HBNumberTable:

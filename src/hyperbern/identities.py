@@ -29,7 +29,9 @@ from .algebra import (
     UniPoly,
     _conv,
     _horner,
+    _integer_coeffs,
     bipoly_subst_s,
+    format_coeffs,
     format_rational,
     poly_derivative,
     poly_eval,
@@ -505,7 +507,7 @@ def check_ode(N: int, r: int, n: int, numbers: HBNumberTable | None = None) -> V
 
     if residual.is_zero:
         return VerifyReport("ode", params, PASS, 1)
-    counter = {"residual_coeffs": [format_rational(c) for c in residual.coeffs]}
+    counter = {"residual_coeffs": format_coeffs(residual)}
     return VerifyReport("ode", params, FAIL, 1, counterexample=counter)
 
 
@@ -534,14 +536,25 @@ def check_recurrence_paths(
         if not (series_polys[n] == rec_polys[n] == step_polys[n]):
             counter = {
                 "n": n,
-                "series": [format_rational(c) for c in series_polys[n].coeffs],
-                "recurrence": [format_rational(c) for c in rec_polys[n].coeffs],
-                "order_step": [format_rational(c) for c in step_polys[n].coeffs],
+                "series": format_coeffs(series_polys[n]),
+                "recurrence": format_coeffs(rec_polys[n]),
+                "order_step": format_coeffs(step_polys[n]),
             }
             break
 
     status = PASS if counter is None else FAIL
     return VerifyReport("recurrence", params, status, n_max + 1, counterexample=counter)
+
+
+def _series_report(name: str, params: dict, lhs: PowerSeries, rhs: PowerSeries) -> VerifyReport:
+    """Compare two series of one order as integer numerators; on a difference
+    the first differing coefficient is the counterexample, its only Fractions."""
+    if lhs == rhs:
+        return VerifyReport(name, params, PASS, lhs.order + 1)
+    for k, (left, right) in enumerate(zip(lhs.coeffs, rhs.coeffs)):
+        if left != right:
+            counter = {"k": k, "lhs": format_rational(left), "rhs": format_rational(right)}
+            return VerifyReport(name, params, FAIL, lhs.order + 1, counterexample=counter)
 
 
 def check_genfun_ode(N: int, order: int) -> VerifyReport:
@@ -554,16 +567,10 @@ def check_genfun_ode(N: int, order: int) -> VerifyReport:
         raise ValueError(f"generating-function ODE check requires order >= 2 (got {order})")
     params = {"N": N, "order": order}
     f = series_invert(normalized_denominator(N, order))
-    f2 = series_mul(f, f)
-    counter = None
-    for k in range(order + 1):
-        lhs = k * f.coeffs[k]
-        rhs = N * f.coeffs[k] - (f.coeffs[k - 1] if k else Fraction(0)) - N * f2.coeffs[k]
-        if lhs != rhs:
-            counter = {"k": k, "lhs": format_rational(lhs), "rhs": format_rational(rhs)}
-            break
-    status = PASS if counter is None else FAIL
-    return VerifyReport("genfun-ode", params, status, order + 1, counterexample=counter)
+    F, t = f.poly, UniPoly((0, 1))
+    lhs = PowerSeries.of(t * poly_derivative(F), order)
+    rhs = PowerSeries.of(N * F - t * F - N * series_mul(f, f).poly, order)
+    return _series_report("genfun-ode", params, lhs, rhs)
 
 
 def check_logderiv(N: int, r: int, order: int) -> VerifyReport:
@@ -575,24 +582,18 @@ def check_logderiv(N: int, r: int, order: int) -> VerifyReport:
     if order < 1:
         raise ValueError(f"log-derivative check requires order >= 1 (got {order})")
     params = {"N": N, "r": r, "order": order}
-    f = series_invert(normalized_denominator(N, order + 1))
-    a = series_pow(f, r)
-    a_prime = [k * a.coeffs[k] for k in range(1, order + 2)]  # exact through t^order
-    a_inv = series_invert(series_truncate(a, order))
-    lhs = series_mul(PowerSeries(tuple(a_prime)), a_inv).coeffs
+    a = series_pow(series_invert(normalized_denominator(N, order + 1)), r)
+    a_prime = PowerSeries.of(poly_derivative(a.poly), order)  # exact through t^order
+    lhs = series_mul(a_prime, series_invert(series_truncate(a, order)))
 
-    values = _table("hb_numbers", N, order + 1).values
-    rhs = [Fraction(-r, N + 1)]
-    for m in range(1, order + 1):
-        rhs.append(-r * N * values[m + 1] / ((m + 1) * math.factorial(m)))
-
-    counter = None
-    for k in range(order + 1):
-        if lhs[k] != rhs[k]:
-            counter = {"k": k, "lhs": format_rational(lhs[k]), "rhs": format_rational(rhs[k])}
-            break
-    status = PASS if counter is None else FAIL
-    return VerifyReport("logderiv", params, status, order + 1, counterexample=counter)
+    b, d = _integer_coeffs(_table("hb_numbers", N, order + 1).values)
+    top = math.factorial(order + 1)
+    # over (N+1) (order+1)! d: -r/(N+1) at t^0, -r N B[N,m+1]/(m+1)! at t^m; B[N,j] = b[j]/d
+    nums = [-r * top * d] + [
+        -r * N * (N + 1) * (top // math.factorial(m + 1)) * b[m + 1] for m in range(1, order + 1)
+    ]
+    rhs = PowerSeries.of(UniPoly.from_integers(nums, (N + 1) * top * d), order)
+    return _series_report("logderiv", params, lhs, rhs)
 
 
 def check_appell_basics(N: int, r: int, n_max: int) -> VerifyReport:
@@ -619,7 +620,7 @@ def check_appell_basics(N: int, r: int, n_max: int) -> VerifyReport:
     for n, p in enumerate(table.polys):
         checked += 1
         if p.degree != n or p.nums[-1] != p.den:
-            return fail("monic", n=n, coeffs=[format_rational(c) for c in p.coeffs])
+            return fail("monic", n=n, coeffs=format_coeffs(p))
         checked += 1
         if poly_eval(p, 0) != values[n]:
             return fail(
@@ -638,8 +639,8 @@ def check_appell_basics(N: int, r: int, n_max: int) -> VerifyReport:
                     "derivative_chain",
                     n=n,
                     p=step,
-                    got=[format_rational(c) for c in dp.coeffs],
-                    expected=[format_rational(c) for c in expect.coeffs],
+                    got=format_coeffs(dp),
+                    expected=format_coeffs(expect),
                 )
         if r == 1:
             integral = poly_integral_weighted(p, N)

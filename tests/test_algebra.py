@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import operator
 import pickle
@@ -24,7 +25,7 @@ from hyperbern.algebra import (
     series_pow,
     series_truncate,
 )
-from hyperbern.core import HBPolyTable, hb_order_step, hb_polys
+from hyperbern.core import HBPolyTable, hb_order_step, hb_polys, normalized_denominator
 from oracles import (
     FractionPoly,
     beta_moment,
@@ -394,6 +395,49 @@ def test_series_pow_matches_fraction_reference(coeffs, r):
     assert series_pow(a, r) == expected
 
 
+def assert_series_invariants(a):
+    assert_canonical(a.poly)
+    assert a.poly.degree is None or a.poly.degree <= a.order
+    assert len(a.coeffs) == a.order + 1
+    assert all(type(c) is Fraction for c in a.coeffs)
+
+
+# a few values, so that equal series come up often
+few_terms = st.sampled_from([Fraction(0), Fraction(1), Fraction(-1, 2)])
+
+
+@given(
+    st.lists(few_terms, min_size=1, max_size=5),
+    st.lists(few_terms, min_size=1, max_size=5),
+    st.integers(min_value=0, max_value=3),
+)
+@example([Fraction(1)], [Fraction(1)], 2)
+@example([Fraction(0)], [Fraction(0), Fraction(0)], 0)
+def test_power_series_invariants(a_coeffs, b_coeffs, zeros):
+    a = PowerSeries(tuple(a_coeffs) + (0,) * zeros)  # trailing zeros keep the order
+    b = PowerSeries(tuple(b_coeffs))
+    assert a.order == len(a_coeffs) + zeros - 1
+    assert a.coeffs == tuple(a_coeffs) + (0,) * zeros
+    for s in (a, b, series_mul(a, b), series_pow(a, 2), series_truncate(a, 0)):
+        assert_series_invariants(s)
+    if a.coeffs[0]:
+        assert_series_invariants(series_invert(a))
+    # equality and hashing are those of the coefficient tuples
+    assert (a == b) == (a.coeffs == b.coeffs)
+    if a == b:
+        assert hash(a) == hash(b)
+    assert PowerSeries(a.coeffs) == a and hash(PowerSeries(a.coeffs)) == hash(a)
+    assert pickle.loads(pickle.dumps(a)) == a
+    for field, value in (("poly", UniPoly()), ("order", a.order + 1)):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(a, field, value)
+
+
+def test_power_series_needs_a_constant_term():
+    with pytest.raises(ValueError):
+        PowerSeries(())
+
+
 def fractions_built(monkeypatch, fn, *args) -> int:
     """How many Fractions one call fn(*args) builds.
 
@@ -433,6 +477,21 @@ def test_series_invert_builds_one_fraction_per_coefficient(monkeypatch):
     # work count: Fraction arithmetic term by term would build 1,761 here
     b = series([Fraction(7, k + 1) for k in range(41)])
     assert fractions_built(monkeypatch, series_invert, b) <= b.order + 1
+
+
+def test_series_kernels_build_no_fraction(monkeypatch):
+    # every kernel stays on integer numerators; only reading coeffs builds Fractions
+    a = series([Fraction((-1) ** k * (k + 2), 3 * k + 1) for k in range(31)])
+    b = series([Fraction(7, k + 1) for k in range(41)])
+    calls = [
+        (series_mul, a, b),
+        (series_invert, b),
+        (series_pow, a, 3),
+        (series_truncate, b, 20),
+        (normalized_denominator, 3, 40),
+    ]
+    for fn, *args in calls:
+        assert fractions_built(monkeypatch, fn, *args) == 0, fn
 
 
 def test_unipoly_arithmetic_builds_no_fraction(monkeypatch):

@@ -1,5 +1,10 @@
 import hashlib
+import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
@@ -21,6 +26,12 @@ def runner():
 
 def invoke(runner, *args):
     return runner.invoke(cli, list(args))
+
+
+def rendered(render, record, **kwargs) -> str:
+    out = io.StringIO()
+    render(record, out, **kwargs)
+    return out.getvalue()
 
 
 # --- numbers -------------------------------------------------------------------
@@ -279,6 +290,38 @@ def test_verify_output_is_pinned(runner, args, exit_code, digest):
     assert hashlib.sha256(res.output.encode("utf-8")).hexdigest() == digest
 
 
+@pytest.mark.parametrize(
+    "args,exit_code,digest",
+    [
+        (
+            ("verify", "--suite", "ode", "--suite", "recurrence", "--N-max", "2", "--r-max", "2",
+             "--n-max", "8", "--inject-fault", "1,3"),
+            1,
+            "11b36ac4c691c7c14de513579a429c880fb3bed89e300ce916060ff4bed14e3a",
+        ),
+        (
+            ("numbers", "--N", "3", "--max-n", "400"),
+            0,
+            "d9da4c76aaca2feab23efe1575c95b1bbdacac581d60c029446593bc53686f2c",
+        ),
+    ],
+    ids=["ode-recurrence-fault", "numbers-400"],
+)
+def test_real_stdout_bytes_are_pinned(args, exit_code, digest):
+    # CliRunner swaps sys.stdout for a buffer of its own; a fresh interpreter
+    # writes through the real stdout, as the console script does
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run(
+        [sys.executable, "-m", "hyperbern.cli", *args, "--no-meta"],
+        capture_output=True,
+        env=env,
+        timeout=120,
+    )
+    assert proc.returncode == exit_code, proc.stderr
+    assert hashlib.sha256(proc.stdout).hexdigest() == digest
+
+
 # --- determinism and round trips ---------------------------------------------------
 
 
@@ -341,10 +384,10 @@ def test_record_round_trip_all_kinds():
         ),
     ]
     for record in records:
-        assert parse_json(render_json(record)) == record
-        assert parse_json(render_json(record, with_meta=False)) == record
+        assert parse_json(rendered(render_json, record)) == record
+        assert parse_json(rendered(render_json, record, with_meta=False)) == record
         subst = record.kind == "apoly" and record.params.get("subst_s") is not None
-        assert parse_csv(render_csv(record), record.kind, subst_s=subst) == record.payload
+        assert parse_csv(rendered(render_csv, record), record.kind, subst_s=subst) == record.payload
 
 
 def test_meta_header_toggle(runner):

@@ -9,7 +9,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from hyperbern import core, identities
-from hyperbern.algebra import UniPoly, poly_eval
+from hyperbern.algebra import PowerSeries, UniPoly, format_rational, poly_eval
 from hyperbern.core import (
     HBNumberTable,
     HBPolyTable,
@@ -17,6 +17,7 @@ from hyperbern.core import (
     hb_higher_polys_series,
     hb_numbers,
     hb_polys,
+    normalized_denominator,
 )
 from hyperbern.identities import (
     ALL_SUITES,
@@ -42,7 +43,7 @@ from hyperbern.identities import (
     replay,
     run_suite,
 )
-from oracles import classical_bernoulli, multinomial_sum_bruteforce
+from oracles import classical_bernoulli, multinomial_sum_bruteforce, series_mul_fractions
 
 rationals = st.fractions(min_value=-20, max_value=20, max_denominator=12)
 
@@ -452,6 +453,68 @@ def test_logderiv_constant_term():
     a = series_pow(series_invert(normalized_denominator(level, 2)), order_r)
     assert a.coeffs[1] / a.coeffs[0] == Fraction(-order_r, level + 1)
     assert check_logderiv(level, order_r, 5).status == PASS
+
+
+def bump_series_invert(monkeypatch, k):
+    """Make the series checks' inversion add 1 to coefficient k of every
+    inverse; the patched inversion is returned for the reference walks."""
+    exact = identities.series_invert
+
+    def bumped(a):
+        coeffs = list(exact(a).coeffs)
+        coeffs[k] += 1
+        return PowerSeries(tuple(coeffs))
+
+    monkeypatch.setattr(identities, "series_invert", bumped)
+    return bumped
+
+
+def first_difference_walk(lhs, rhs):
+    """The first k with lhs[k] != rhs[k], walked in Fractions, as a counterexample."""
+    for k, (left, right) in enumerate(zip(lhs, rhs)):
+        if left != right:
+            return {"k": k, "lhs": format_rational(left), "rhs": format_rational(right)}
+    return None
+
+
+def test_genfun_ode_failure_is_the_first_wrong_coefficient(monkeypatch):
+    level, order, k = 2, 12, 5
+    invert = bump_series_invert(monkeypatch, k)
+    f = invert(normalized_denominator(level, order))
+    fc, f2 = f.coeffs, series_mul_fractions(f, f).coeffs
+    lhs = [j * fc[j] for j in range(order + 1)]
+    rhs = [level * fc[j] - (fc[j - 1] if j else 0) - level * f2[j] for j in range(order + 1)]
+    expected = first_difference_walk(lhs, rhs)
+    # f_k moves lhs_k by k and rhs_k by level - 2 level f_0, so k differs first
+    assert expected["k"] == k
+    rep = check_genfun_ode(level, order)
+    assert rep.status == FAIL
+    assert rep.cells_checked == order + 1
+    assert rep.counterexample == expected
+    assert replay(rep)
+
+
+@pytest.mark.parametrize("order_r", (1, 2))
+def test_logderiv_failure_is_the_first_wrong_coefficient(monkeypatch, order_r):
+    level, order, k = 2, 10, 4
+    invert = bump_series_invert(monkeypatch, k)
+    a = PowerSeries.one(order + 1)
+    for _ in range(order_r):
+        a = series_mul_fractions(a, invert(normalized_denominator(level, order + 1)))
+    a_prime = PowerSeries(tuple(j * a.coeffs[j] for j in range(1, order + 2)))
+    a_inv = invert(PowerSeries(a.coeffs[: order + 1]))
+    lhs = series_mul_fractions(a_prime, a_inv).coeffs
+    values = hb_numbers(level, order + 1).values
+    rhs = [Fraction(-order_r, level + 1)] + [
+        -order_r * level * values[m + 1] / math.factorial(m + 1) for m in range(1, order + 1)
+    ]
+    expected = first_difference_walk(lhs, rhs)
+    assert expected is not None
+    rep = check_logderiv(level, order_r, order)
+    assert rep.status == FAIL
+    assert rep.cells_checked == order + 1
+    assert rep.counterexample == expected
+    assert replay(rep)
 
 
 # --- appell bundle -----------------------------------------------------------------------
