@@ -3,9 +3,10 @@
 Everything here is pure and immutable.  The ground field is the exact
 rationals, so every operation in this module is exact; there is no floating
 point anywhere.  The arithmetic itself runs on Python ints, through one
-integer Cauchy product (``_conv``), and ``fractions.Fraction`` appears only
-at the edges: as the coefficients a caller passes in or reads out, and as
-the value of an evaluation.
+integer Cauchy product (``_conv``) and one linear combination
+(:func:`poly_combination`, which every sum of polynomials goes through), and
+``fractions.Fraction`` appears only at the edges: as the coefficients a
+caller passes in or reads out, and as the value of an evaluation.
 
 Three container types, all on the one rational representation, integer
 numerators over one denominator:
@@ -46,6 +47,7 @@ __all__ = [
     "format_rational",
     "format_coeffs",
     "parse_rational",
+    "poly_combination",
     "poly_eval",
     "poly_derivative",
     "poly_integral_weighted",
@@ -214,20 +216,11 @@ class UniPoly:
             raise ValueError("zero polynomial has no leading coefficient")
         return Fraction(self.nums[-1], self.den)
 
-    def _combine(self, other: UniPoly, op) -> UniPoly:
-        a, b, den = self.nums, other.nums, self.den
-        if den != other.den:
-            den = math.lcm(den, other.den)
-            fa, fb = den // self.den, den // other.den
-            a, b = [fa * c for c in a], [fb * c for c in b]
-        pairs = itertools.zip_longest(a, b, fillvalue=0)
-        return UniPoly.from_integers(list(itertools.starmap(op, pairs)), den)
-
     def __add__(self, other: UniPoly) -> UniPoly:
-        return self._combine(other, operator.add)
+        return poly_combination(((1, self), (1, other)))
 
     def __sub__(self, other: UniPoly) -> UniPoly:
-        return self._combine(other, operator.sub)
+        return poly_combination(((1, self), (-1, other)))
 
     def __neg__(self) -> UniPoly:
         return UniPoly.from_integers([-c for c in self.nums], self.den)
@@ -235,8 +228,10 @@ class UniPoly:
     def __mul__(self, other: UniPoly | RationalLike) -> UniPoly:
         if isinstance(other, UniPoly):
             return UniPoly.from_integers(_conv(self.nums, other.nums), self.den * other.den)
-        c = other.numerator
-        return UniPoly.from_integers([c * a for a in self.nums], self.den * other.denominator)
+        # cancel against den first, so that the reduction seldom has a factor left to divide out
+        g = math.gcd(other.numerator, self.den)
+        c = other.numerator // g
+        return UniPoly.from_integers([c * a for a in self.nums], self.den // g * other.denominator)
 
     __rmul__ = __mul__
 
@@ -247,6 +242,32 @@ class UniPoly:
         if not d:
             raise ZeroDivisionError("polynomial division by zero")
         return UniPoly.from_integers([c * a for a in self.nums], self.den * d)
+
+
+def poly_combination(terms) -> UniPoly:
+    """The sum of c * p over pairs (c, p) of a rational and a UniPoly.
+
+    Each term's numerators are scaled to one common denominator, the lcm of
+    the terms' c.denominator * p.den, and summed in ints; the sum is reduced
+    once, and no Fraction is built.  Terms with a zero weight or polynomial
+    are skipped; no terms sum to the zero polynomial.
+    """
+    scaled = []
+    den, width = 1, 0
+    for c, p in terms:
+        f, nums = c.numerator, p.nums
+        if f and nums:
+            d = c.denominator * p.den
+            if den % d:
+                den = math.lcm(den, d)
+            width = max(width, len(nums))
+            scaled.append((f, d, nums))
+    acc = [0] * width
+    for f, d, nums in scaled:
+        f *= den // d
+        for i, a in enumerate(nums):
+            acc[i] += f * a
+    return UniPoly.from_integers(acc, den)
 
 
 def poly_eval(p: UniPoly, v: RationalLike) -> Fraction:
@@ -330,13 +351,12 @@ class BiPoly:
 
     def __mul__(self, other: BiPoly | RationalLike) -> BiPoly:
         if isinstance(other, BiPoly):
-            if self.is_zero or other.is_zero:
-                return BiPoly()
-            out = [UniPoly()] * (len(self.rows) + len(other.rows) - 1)
+            # zero has no rows, so a zero factor leaves no terms
+            terms = [[] for _ in range(len(self.rows) + len(other.rows) - 1)]
             for i, a in enumerate(self.rows):
                 for j, b in enumerate(other.rows):
-                    out[i + j] = out[i + j] + a * b
-            return BiPoly(tuple(out))
+                    terms[i + j].append((1, a * b))
+            return BiPoly(tuple(map(poly_combination, terms)))
         return BiPoly(tuple(r * other for r in self.rows))
 
     __rmul__ = __mul__

@@ -20,9 +20,10 @@ import csv
 import io
 import itertools
 import json
+import os
 import sys
 from contextlib import nullcontext
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from datetime import datetime, timezone
 
 import click
@@ -251,7 +252,12 @@ def _output_options(default_format: str):
 def _emit(record: OutputRecord, fmt: str, output: str | None, no_meta: bool) -> None:
     render = render_json if fmt == "json" else render_csv
     with open(output, "w", encoding="utf-8") if output else nullcontext(sys.stdout) as out:
-        render(record, out, with_meta=not no_meta)
+        try:
+            render(record, out, with_meta=not no_meta)
+            out.flush()
+        except BrokenPipeError:
+            # a reader closed stdout early: keep the exit code, send the final flush to devnull
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
 
 
 @click.group()
@@ -361,33 +367,16 @@ def _parse_fault(_ctx, _param, value):
     help='Self-test aid: "N,k" perturbs the stored number B[N,k] by +1 and must trip the suite.',
 )
 @_output_options("json")
-def verify(suites, N_max, r_max, n_max, mode, seed, sample_count, inject_fault, fmt, output, no_meta):
+def verify(suites, fmt, output, no_meta, **fields):
     """Certify identities over parameter ranges; exit 1 on any failed cell."""
-    config = SuiteConfig(
-        suites=tuple(suites) if suites else ALL_SUITES,
-        N_max=N_max,
-        r_max=r_max,
-        n_max=n_max,
-        mode=mode,
-        seed=seed,
-        sample_count=sample_count,
-        fault=inject_fault,
-    )
+    # every other option is named after the SuiteConfig field it sets
+    config = SuiteConfig(suites=tuple(suites) or ALL_SUITES, **fields)
     try:
         reports = run_suite(config)
     except VacuousRun as exc:
         raise click.UsageError(str(exc))
-    params = {
-        "suites": list(config.suites),
-        "N_max": N_max,
-        "r_max": r_max,
-        "n_max": n_max,
-        "mode": mode,
-        "seed": seed,
-        "sample_count": sample_count,
-        "inject_fault": list(inject_fault) if inject_fault else None,
-    }
-    record = OutputRecord("verify", params, _report_payload(reports))
+    # the fields in order are the params keys; JSON writes their tuples as lists
+    record = OutputRecord("verify", asdict(config), _report_payload(reports))
     _emit(record, fmt, output, no_meta)
     if any(rep.status == FAIL for rep in reports):
         raise SystemExit(1)

@@ -33,6 +33,7 @@ from .algebra import (
     UniPoly,
     _integer_coeffs,
     bipoly_shift_s,
+    poly_combination,
     poly_derivative,
     series_invert,
     series_pow,
@@ -183,50 +184,31 @@ def hb_higher_polys_recurrence(
         w_{n,k} = r N C(n,k) B[N,n-k+1]/(n-k+1),
 
     which consumes only the order-1 numbers; the series engine is never
-    touched, so this path is independent of hb_higher_polys_series.  Each
-    row is held as integer numerators over one reduced row denominator D_n:
-    a step takes the lcm of (N+1) D_n and of each weight's denominator
-    times D_k, combines the rows in ints and divides by the gcd of the
-    result, so Fractions are built only for the output.  Step n touches
-    O(n^2) coefficients, so the table costs O(n_max^3) integer operations
-    (on numbers that grow with n).  An explicit ``numbers`` table may be
-    injected (used for fault-sensitivity testing); it must cover indices up
-    to n_max.
+    touched, so this path is independent of hb_higher_polys_series.  Divided
+    by n!, with q_n = p_n/n! and u_j = r N B[N,j+1]/(j+1)!, a step reads
+
+        (n+1) q_{n+1} = (x - r/(N+1)) q_n - sum_{k<n} u_{n-k} q_k,
+
+    whose weights are built once: it is one :func:`poly_combination` of
+    q_0..q_n, divided by n+1, and p_n = n! q_n.  Step n touches O(n^2)
+    coefficients, so the table costs O(n_max^3) integer operations (on
+    numbers that grow with n).  An explicit ``numbers`` table may be injected
+    (used for fault-sensitivity testing); it must cover indices up to n_max.
     """
     if r < 1:
         raise ValueError("order r must be >= 1")
     if numbers is None:
         numbers = hb_numbers(N, n_max + 1)
     values = numbers.values
-    # v[j] = r N B[N,j+1]/(j+1), so that w_{n,k} = C(n,k) v[n-k]
-    v = [Fraction(r * N) * values[j + 1] / (j + 1) for j in range(n_max)]
-    rows: list[list[int]] = [[1]]
-    dens = [1]
+    # weights[j] = -u_j weighs q_k in the step from q_{k+j}
+    weights = [Fraction(-r * N) * values[j + 1] / math.factorial(j + 1) for j in range(n_max)]
+    shift = Fraction(-r, N + 1)
+    q = [UniPoly((1,))]
     for n in range(n_max):
-        # (x - r/(N+1)) p_n = ((N+1) x - r) p_n / (N+1)
-        a = rows[n]
-        shifted = [-r * a[0]]
-        shifted += [(N + 1) * a[i - 1] - r * a[i] for i in range(1, n + 1)]
-        shifted.append((N + 1) * a[n])
-        terms = []  # (numerator weight, denominator weight * D_k, row k)
-        for k in range(n):
-            w = v[n - k]
-            if w:
-                binom = math.comb(n, k)
-                g = math.gcd(binom, w.denominator)
-                terms.append((binom // g * w.numerator, w.denominator // g * dens[k], k))
-        shifted_den = (N + 1) * dens[n]
-        den = math.lcm(shifted_den, *(d for _, d, _ in terms))
-        f = den // shifted_den
-        acc = [f * c for c in shifted]
-        for wn, wd, k in terms:
-            f = den // wd * wn
-            for i, c in enumerate(rows[k]):
-                acc[i] -= f * c
-        g = math.gcd(den, *acc)
-        rows.append([c // g for c in acc])
-        dens.append(den // g)
-    polys = tuple(UniPoly.from_integers(row, d) for row, d in zip(rows, dens))
+        x_q = UniPoly.from_integers((0, *q[n].nums), q[n].den)
+        terms = [(1, x_q), (shift, q[n])] + [(weights[n - k], q[k]) for k in range(n)]
+        q.append(poly_combination(terms) / (n + 1))
+    polys = tuple(math.factorial(n) * p for n, p in enumerate(q))
     return HBPolyTable(N=N, r=r, polys=polys)
 
 
@@ -235,9 +217,9 @@ def hb_order_step(table: HBPolyTable, n: int) -> UniPoly:
 
         p^(r+1)_n = (1/N)(N - n/r) p^(r)_n + (1/N)(n/r)(x - r) p^(r)_{n-1}
 
-    It is computed as ((N r - n) p_n + n (x - r) p_{n-1}) / (N r), so the
-    arithmetic stays on integer numerators.  For n = 0 the result is the constant 1; otherwise
-    indices n and n-1 must exist in the table.
+    It is computed as ((N r - n) p_n + n (x - r) p_{n-1}) / (N r), a
+    combination with integer weights, so no Fraction is built.  For n = 0 the
+    result is the constant 1; otherwise indices n and n-1 must exist in the table.
     """
     if n == 0:
         return UniPoly((1,))
@@ -245,7 +227,8 @@ def hb_order_step(table: HBPolyTable, n: int) -> UniPoly:
         raise IndexError(f"index {n} not covered by table of size {len(table.polys)}")
     N, r = table.N, table.r
     x_minus_r = UniPoly((-r, 1))
-    return ((N * r - n) * table.polys[n] + n * (x_minus_r * table.polys[n - 1])) / (N * r)
+    terms = ((N * r - n, table.polys[n]), (n, x_minus_r * table.polys[n - 1]))
+    return poly_combination(terms) / (N * r)
 
 
 def a_poly(N: int, r: int) -> APolyTable:
@@ -322,10 +305,9 @@ def mult_operator_apply(table: HBPolyTable, n: int) -> UniPoly:
     values = hb_numbers(N, n + 1).values
     p = table.polys[n]
     shift = UniPoly((Fraction(-r, N + 1), Fraction(1)))
-    acc = shift * p
+    terms = [(1, shift * p)]
     dp = p
     for j in range(1, n + 1):
         dp = poly_derivative(dp)
-        w = Fraction(r * N) * values[j + 1] / math.factorial(j + 1)
-        acc = acc - w * dp
-    return acc
+        terms.append((Fraction(-r * N) * values[j + 1] / math.factorial(j + 1), dp))
+    return poly_combination(terms)

@@ -33,6 +33,7 @@ from .algebra import (
     bipoly_subst_s,
     format_coeffs,
     format_rational,
+    poly_combination,
     poly_derivative,
     poly_eval,
     poly_integral_weighted,
@@ -274,11 +275,11 @@ def _closed_form(N: int, r: int, n: int, entries, polys) -> UniPoly:
 
     with s = 1 + N(r-1) - n substituted into each coefficient entry."""
     s_val = 1 + N * (r - 1) - n
-    acc = UniPoly()
-    for i, entry in enumerate(entries):
-        weight = (-1) ** i * math.comb(n, i) * math.factorial(i)
-        acc = acc + weight * (bipoly_subst_s(entry, s_val) * polys[n - i])
-    return acc / N ** (r - 1)
+    scale = N ** (r - 1)
+    return poly_combination(
+        (Fraction((-1) ** i * math.perm(n, i), scale), bipoly_subst_s(entry, s_val) * polys[n - i])
+        for i, entry in enumerate(entries)
+    )
 
 
 def _dot_target(int_sides, x_sum, scale: int, fact_n: int) -> int | None:
@@ -495,15 +496,15 @@ def check_ode(N: int, r: int, n: int, numbers: HBNumberTable | None = None) -> V
     values = (numbers or _table("hb_numbers", N, n)).values
     y = _table("hb_higher_polys_series", N, r, n).polys[n]
 
-    residual = Fraction(n, r * N) * y
     yp = poly_derivative(y)
     # (x/(rN) - 1/(N(N+1))) y'
     lin = UniPoly((Fraction(-1, N * (N + 1)), Fraction(1, r * N)))
-    residual = residual - lin * yp
+    terms = [(Fraction(n, r * N), y), (-1, lin * yp)]
     dk = yp
     for k in range(2, n + 1):
         dk = poly_derivative(dk)
-        residual = residual + values[k] / math.factorial(k) * dk
+        terms.append((values[k] / math.factorial(k), dk))
+    residual = poly_combination(terms)
 
     if residual.is_zero:
         return VerifyReport("ode", params, PASS, 1)
@@ -569,8 +570,8 @@ def check_genfun_ode(N: int, order: int) -> VerifyReport:
     f = series_invert(normalized_denominator(N, order))
     F, t = f.poly, UniPoly((0, 1))
     lhs = PowerSeries.of(t * poly_derivative(F), order)
-    rhs = PowerSeries.of(N * F - t * F - N * series_mul(f, f).poly, order)
-    return _series_report("genfun-ode", params, lhs, rhs)
+    rhs = poly_combination(((N, F), (-1, t * F), (-N, series_mul(f, f).poly)))
+    return _series_report("genfun-ode", params, lhs, PowerSeries.of(rhs, order))
 
 
 def check_logderiv(N: int, r: int, order: int) -> VerifyReport:
@@ -743,7 +744,7 @@ class SuiteConfig:
     mode: str = "auto"
     seed: int = 42
     sample_count: int = 64
-    fault: tuple[int, int] | None = None
+    inject_fault: tuple[int, int] | None = None
 
     def __post_init__(self) -> None:
         # a suite named twice runs once
@@ -787,8 +788,8 @@ def _check_cell(suite: Suite, params: dict, cfg: SuiteConfig) -> VerifyReport:
     if suite.requires is not None and not suite.requires(*args):
         return VerifyReport(suite.name, params, SKIPPED, 0, details={"reason": suite.skip_reason})
     kwargs: dict = {}
-    if suite.injectable and cfg.fault is not None and cfg.fault[0] == params["N"]:
-        kwargs["numbers"] = perturbed_numbers(params["N"], cfg.fault[1], args[-1])
+    if suite.injectable and cfg.inject_fault is not None and cfg.inject_fault[0] == params["N"]:
+        kwargs["numbers"] = perturbed_numbers(params["N"], cfg.inject_fault[1], args[-1])
     if suite.sampled:
         mode = cfg.mode
         if mode == "auto":
@@ -833,8 +834,8 @@ def run_suite(config: SuiteConfig = SuiteConfig()) -> list[VerifyReport]:
             raise EmptySuite(
                 f"suite {name!r} checks nothing: every cell is skipped ({suite.skip_reason})"
             )
-    if config.fault is not None:
-        level, k = config.fault
+    if config.inject_fault is not None:
+        level, k = config.inject_fault
         if not any(
             SUITES[name].injectable and cell[0] == level and cell[-1] >= k for name, cell in jobs
         ):
@@ -867,5 +868,5 @@ def replay(report: VerifyReport, fault: tuple[int, int] | None = None) -> bool:
     # a sums report records the sampling that made it in its details
     d = report.details or {}
     sampling = {key: d[key] for key in ("mode", "sample_count", "seed") if key in d}
-    fresh = _check_cell(suite, report.params, SuiteConfig(fault=fault, **sampling))
+    fresh = _check_cell(suite, report.params, SuiteConfig(inject_fault=fault, **sampling))
     return fresh.status == report.status and fresh.counterexample == report.counterexample

@@ -205,7 +205,7 @@ def test_criterion_13_mutation_sensitivity():
                     N_max=level,
                     r_max=2,
                     n_max=10,
-                    fault=(level, k),
+                    inject_fault=(level, k),
                 )
                 failed = [r for r in run_suite(cfg) if r.status == FAIL]
                 assert failed, f"perturbing B[{level},{k}] tripped nothing"

@@ -17,6 +17,7 @@ from hyperbern.algebra import (
     bipoly_subst_s,
     format_rational,
     parse_rational,
+    poly_combination,
     poly_derivative,
     poly_eval,
     poly_integral_weighted,
@@ -172,6 +173,22 @@ def test_unipoly_equality_is_coefficient_equality(a, b, k):
     same = UniPoly.from_integers([k * c for c in p.nums] + [0, 0], k * p.den)
     assert_canonical(same)
     assert same == p and hash(same) == hash(p) and same.coeffs == p.coeffs
+
+
+@given(st.lists(st.tuples(scalars, poly_terms), max_size=5))
+@example([])
+@example([(0, [1, 2]), (Fraction(3, 2), []), (Fraction(0), [Fraction(1, 7)])])
+@example([(1, [1, Fraction(1, 2)]), (Fraction(-1, 2), [2, 1])])
+@example([(Fraction(-7, 3), [1, 2, 3, 4, 5]), (Fraction(5, 6), [Fraction(1, 9)]), (-4, [0, 1])])
+def test_poly_combination_matches_fraction_sum(terms):
+    # empty input, zero weights and polynomials, cancellation, negative and
+    # non-integer weights, terms of unequal length
+    got = poly_combination((c, UniPoly(tuple(cs))) for c, cs in terms)
+    want = FractionPoly()
+    for c, cs in terms:
+        want = want + c * FractionPoly(tuple(cs))
+    assert_canonical(got)
+    assert got.coeffs == want.coeffs
 
 
 def test_unipoly_is_immutable_and_round_trips():
@@ -511,6 +528,13 @@ def test_unipoly_arithmetic_builds_no_fraction(monkeypatch):
     ]
     for fn, *args in calls:
         assert fractions_built(monkeypatch, fn, *args) == 0, fn
+
+
+def test_poly_combination_builds_no_fraction(monkeypatch):
+    p = UniPoly(tuple(Fraction((-1) ** k * (k + 2), 3 * k + 1) for k in range(12)))
+    q = UniPoly(tuple(Fraction(7, k + 1) for k in range(9)))
+    terms = [(Fraction(-3, 4), p), (Fraction(5, 7), q), (2, p), (Fraction(0), q), (-1, UniPoly())]
+    assert fractions_built(monkeypatch, poly_combination, terms) == 0
 
 
 def test_poly_eval_builds_one_fraction(monkeypatch):

@@ -34,6 +34,12 @@ def rendered(render, record, **kwargs) -> str:
     return out.getvalue()
 
 
+def _src_env() -> dict:
+    """The environment with this checkout's src/ first on PYTHONPATH."""
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+
+
 # --- numbers -------------------------------------------------------------------
 
 
@@ -310,16 +316,31 @@ def test_verify_output_is_pinned(runner, args, exit_code, digest):
 def test_real_stdout_bytes_are_pinned(args, exit_code, digest):
     # CliRunner swaps sys.stdout for a buffer of its own; a fresh interpreter
     # writes through the real stdout, as the console script does
-    src = str(Path(__file__).resolve().parent.parent / "src")
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
     proc = subprocess.run(
         [sys.executable, "-m", "hyperbern.cli", *args, "--no-meta"],
         capture_output=True,
-        env=env,
+        env=_src_env(),
         timeout=120,
     )
     assert proc.returncode == exit_code, proc.stderr
     assert hashlib.sha256(proc.stdout).hexdigest() == digest
+
+
+def test_reader_closing_the_pipe_early_is_not_a_failure():
+    # about 1.4 MB of JSON against a reader that stops after 10 bytes: the
+    # writes past the 64 KiB pipe buffer meet a closed pipe
+    args = ("polys", "--N", "3", "--r", "3", "--max-n", "150", "--format", "json", "--no-meta")
+    with subprocess.Popen(
+        [sys.executable, "-m", "hyperbern.cli", *args],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        env=_src_env(),
+    ) as proc:
+        assert proc.stdout.read(10) == b'{\n  "schem'
+        proc.stdout.close()
+        stderr = proc.stderr.read()
+        assert proc.wait(timeout=120) == 0, stderr
+    assert stderr == b""
 
 
 # --- determinism and round trips ---------------------------------------------------

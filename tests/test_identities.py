@@ -590,7 +590,7 @@ def test_suite_range_override():
 
 def test_suite_fault_injection_fails_ode_and_recurrence():
     cfg = SuiteConfig(
-        suites=("ode", "recurrence"), N_max=2, r_max=2, n_max=8, fault=(1, 2)
+        suites=("ode", "recurrence"), N_max=2, r_max=2, n_max=8, inject_fault=(1, 2)
     )
     reports = run_suite(cfg)
     failed = [r for r in reports if r.status == FAIL]
@@ -682,7 +682,7 @@ def test_run_suite_is_reentrant(monkeypatch):
 @pytest.mark.parametrize("fault", [None, (1, 3)])
 def test_run_suite_matches_cells_run_alone(fault):
     # the store changes no report: each equals its cell run outside any run
-    cfg = SuiteConfig(N_max=2, r_max=3, n_max=6, fault=fault)
+    cfg = SuiteConfig(N_max=2, r_max=3, n_max=6, inject_fault=fault)
     reports = run_suite(cfg)
     alone = [_check_cell(SUITES[r.identity_name], r.params, cfg) for r in reports]
     assert reports == alone
