@@ -149,9 +149,11 @@ class UniPoly:
     Canonical form: integer numerators over one positive denominator with
     gcd(den, *nums) = 1 and no trailing zero numerator; the zero polynomial is
     ``()`` over 1.  So ``==`` and ``hash`` compare (nums, den).  The
-    constructor takes rational coefficients; :meth:`from_integers` takes
-    numerators and a denominator.  ``degree`` of the zero polynomial is
-    ``None`` (a sentinel, never -1 arithmetic).  Instances are immutable.
+    constructor takes ``int`` or ``Fraction`` coefficients and raises
+    TypeError on anything else (a float or a string is not exact);
+    :meth:`from_integers` takes numerators and a denominator.  ``degree`` of
+    the zero polynomial is ``None`` (a sentinel, never -1 arithmetic).
+    Instances are immutable.
     """
 
     __slots__ = ("nums", "den")
@@ -160,7 +162,10 @@ class UniPoly:
     den: int
 
     def __new__(cls, coeffs=()) -> UniPoly:
-        cs = [c if isinstance(c, (int, Fraction)) else Fraction(c) for c in coeffs]
+        cs = list(coeffs)
+        for c in cs:
+            if not isinstance(c, (int, Fraction)):
+                raise TypeError(f"coefficients must be int or Fraction, not {type(c).__name__}")
         return UniPoly.from_integers(*_integer_coeffs(cs))
 
     @staticmethod
@@ -309,7 +314,8 @@ class BiPoly:
 
     ``rows[i]`` is the :class:`UniPoly` in s multiplying ``x**i``, trailing zero
     rows trimmed (zero has no rows); every operation works row by row through
-    ``UniPoly`` arithmetic.  The constructor also takes nested rational tuples.
+    ``UniPoly`` arithmetic.  The constructor also takes nested tuples of
+    ints and Fractions.
     """
 
     rows: tuple[UniPoly, ...] = ()

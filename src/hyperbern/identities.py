@@ -112,16 +112,17 @@ class VerifyReport:
 
 
 class _MultinomialEvaluator:
-    """Integer-scaled evaluation of the multinomial convolution of polynomial
-    values at rational points.
+    """The per-coordinate integer vectors of the multinomial convolution of
+    polynomial values at rational points, which :func:`_first_mismatch`
+    convolves and compares.
 
     For a point x = a/b the vector entry p_i(x)/i! is represented as an
     integer u_i over the common scale M = D * n! * b^n (D clears every
     coefficient denominator), so the convolutions in the hot path run on
-    plain integers.  :meth:`scaled_rows` gives each sum as an integer dot
-    product over its scale, which :func:`_first_mismatch_in_rows` compares in
-    integers; :meth:`evaluate` divides them into one exact rational.  The
-    tests pin both against brute-force composition enumeration.
+    plain integers.  Each distinct coordinate becomes its vector once per
+    evaluator, so walks that share an evaluator (the two folds of
+    ``two-three``) share the vectors.  The tests pin the walk against
+    brute-force composition enumeration.
     """
 
     def __init__(self, polys, n: int):
@@ -146,54 +147,6 @@ class _MultinomialEvaluator:
                 u.append(h * fall * (top // bpow))
             self._scaled[x] = u, u[::-1], self.denom_clear * self.fact_n * top
         return self._scaled[x]
-
-    def scaled_rows(self, rows):
-        """Yield (prefix, lasts, dots, scale) for each row (prefix, lasts) of
-        an iterable, in order: the multinomial sum at the point
-        prefix + (lasts[j],) is n! * dots[j] / scale with integer dots[j].
-
-        A row's last coordinates share one denominator (a range of integers,
-        or a single rational), so they share the scale.  Each distinct
-        coordinate becomes its integer vector once per evaluator.
-        Consecutive rows share the convolution of their common leading
-        coordinates: the stack holds the convolution of each leading run of
-        the prefix, the empty run being the unit, and is rebuilt only from
-        the first coordinate that changed.  The row's dots are then one
-        comprehension over its last coordinates.  No Fraction is built.
-        """
-        n = self.n
-        stack = [([1] + [0] * n, 1)]
-        prev: tuple = ()
-        by_lasts: dict = {}  # lasts -> (its reversed vectors, their scale)
-        for prefix, lasts in rows:
-            # stack[j] is the convolution of prev[:j]
-            k = 0
-            while k < len(stack) - 1 and prefix[k] == prev[k]:
-                k += 1
-            del stack[k + 1 :]
-            for x in prefix[k:]:
-                conv, m_total = stack[-1]
-                u, _, m = self._vector(x)
-                # the unit convolved with a vector is that vector
-                stack.append((u if len(stack) == 1 else _conv(conv, u, n + 1), m_total * m))
-            prev = prefix
-            conv, m_total = stack[-1]
-            if lasts not in by_lasts:
-                vectors = [self._vector(x) for x in lasts]
-                by_lasts[lasts] = [rev for _, rev, _ in vectors], vectors[0][2]
-            revs, m = by_lasts[lasts]
-            yield prefix, lasts, [sum(map(operator.mul, conv, rev)) for rev in revs], m_total * m
-
-    def evaluate(self, points):
-        """Yield (point, multinomial sum at the point) for each point, in
-        order, the sum as one exact Fraction."""
-        for prefix, lasts, (dot,), scale in self.scaled_rows(_point_rows(points)):
-            yield prefix + lasts, Fraction(self.fact_n * dot, scale)
-
-
-def _point_rows(points):
-    """Each point as a row of its own: (all but the last coordinate, (last,))."""
-    return ((point[:-1], point[-1:]) for point in points)
 
 
 def _cell_rng(seed: int, name: str, *index: int) -> random.Random:
@@ -299,29 +252,57 @@ def _dot_target(int_sides, x_sum, scale: int, fact_n: int) -> int | None:
     return wanted.pop() if len(wanted) == 1 else None
 
 
-def _first_mismatch_in_rows(evaluator: _MultinomialEvaluator, rows, sides):
+def _first_mismatch(evaluator: _MultinomialEvaluator, rows, sides):
     """Compare the multinomial sum at each point of each row with every side
     polynomial at the point's coordinate sum, in integers.
 
-    A row is (prefix, lasts): the points prefix + (x,) for x in lasts, as
-    :meth:`_MultinomialEvaluator.scaled_rows` takes them.  The evaluator
-    gives each sum as n! * dot / scale, and a point whose dot differs from
-    its integer target (see :func:`_dot_target`) is a mismatch, as is a
-    point whose target is not an integer.  A row whose lasts is a range
-    holds nonnegative integer points, all at one scale: its targets are a
-    slice of one list per scale, indexed by the integer coordinate sum and
-    extended as needed, so the row is compared with one list comparison.
-    Other rows compute each point's target.  Fractions are built only for
-    the counterexample.
+    A row is (prefix, lasts): the points prefix + (x,) for x in lasts, in
+    order.  A row's last coordinates share one denominator (a range of
+    integers, or a single rational), so they share the scale, and the sum at
+    prefix + (lasts[j],) is n! * dots[j] / scale with integer dots[j].
+    Consecutive rows share the convolution of their common leading
+    coordinates: the stack holds the convolution of each leading run of the
+    prefix, the empty run being the unit, and is rebuilt only from the first
+    coordinate that changed.  The row's dots are then one comprehension over
+    its last coordinates.
+
+    A point whose dot differs from its integer target (see
+    :func:`_dot_target`) is a mismatch, as is a point whose target is not an
+    integer.  A row whose lasts is a range holds nonnegative integer points,
+    all at one scale: its targets are a slice of one list per scale, indexed
+    by the integer coordinate sum and extended as needed, so the row is
+    compared with one list comparison.  Other rows compute each point's
+    target.  Fractions are built only for the counterexample.
 
     Returns the number of points checked and the first (point, lhs, side
     values) where some side differs, or None.
     """
+    n, fact_n = evaluator.n, evaluator.fact_n
     int_sides = [(side.nums, side.den) for side in sides]
-    fact_n = evaluator.fact_n
+    stack = [([1] + [0] * n, 1)]
+    prev: tuple = ()
+    by_lasts: dict = {}  # lasts -> (its reversed vectors, their scale)
     by_sum: dict[int, list] = {}  # scale -> targets at the integer sums 0, 1, ...
     checked = 0
-    for prefix, lasts, dots, scale in evaluator.scaled_rows(rows):
+    for prefix, lasts in rows:
+        # stack[j] is the convolution of prev[:j]
+        k = 0
+        while k < len(stack) - 1 and prefix[k] == prev[k]:
+            k += 1
+        del stack[k + 1 :]
+        for x in prefix[k:]:
+            conv, m_total = stack[-1]
+            u, _, m = evaluator._vector(x)
+            # the unit convolved with a vector is that vector
+            stack.append((u if len(stack) == 1 else _conv(conv, u, n + 1), m_total * m))
+        prev = prefix
+        conv, m_total = stack[-1]
+        if lasts not in by_lasts:
+            vectors = [evaluator._vector(x) for x in lasts]
+            by_lasts[lasts] = [rev for _, rev, _ in vectors], vectors[0][2]
+        revs, m = by_lasts[lasts]
+        dots = [sum(map(operator.mul, conv, rev)) for rev in revs]
+        scale = m_total * m
         x0 = sum(prefix)
         if type(lasts) is range:
             targets = by_sum.setdefault(scale, [])
@@ -342,11 +323,6 @@ def _first_mismatch_in_rows(evaluator: _MultinomialEvaluator, rows, sides):
     return checked, None
 
 
-def _first_mismatch(evaluator: _MultinomialEvaluator, points, sides):
-    """:func:`_first_mismatch_in_rows` over points, each a row of its own."""
-    return _first_mismatch_in_rows(evaluator, _point_rows(points), sides)
-
-
 def check_kamano(N: int, r: int, n: int) -> VerifyReport:
     """Number sums-of-products: the multinomial convolution of r level-N
     number sequences against its closed form with x-free coefficient
@@ -359,7 +335,9 @@ def check_kamano(N: int, r: int, n: int) -> VerifyReport:
     # and the closed form is the polynomial one taken at x = 0
     polys = [UniPoly((v,)) for v in _table("hb_numbers", N, n).values]
     rhs = _closed_form(N, r, n, _table("a_poly_at_zero", N, r).entries, polys)
-    _, mismatch = _first_mismatch(_MultinomialEvaluator(polys, n), [(0,) * r], [rhs])
+    # the one point (0, ..., 0), as an integer row
+    row = (0,) * (r - 1), range(1)
+    _, mismatch = _first_mismatch(_MultinomialEvaluator(polys, n), [row], [rhs])
     if mismatch is None:
         return VerifyReport("kamano", params, PASS, 1)
     _, lhs, (rhs_val,) = mismatch
@@ -407,7 +385,6 @@ def check_sums_of_products(
         details = {"mode": "grid"}
         last = range(n + 1)
         rows = ((prefix, last) for prefix in itertools.product(last, repeat=r - 1))
-        checked, mismatch = _first_mismatch_in_rows(evaluator, rows, sides)
     else:
         rng = _cell_rng(seed, "sums", N, r, n)
         points = [
@@ -419,7 +396,8 @@ def check_sums_of_products(
             "sample_count": sample_count,
             "points": [[format_rational(c) for c in pt] for pt in points],
         }
-        checked, mismatch = _first_mismatch(evaluator, points, sides)
+        rows = ((pt[:-1], pt[-1:]) for pt in points)  # each point a row of its own
+    checked, mismatch = _first_mismatch(evaluator, rows, sides)
     if mismatch is None:
         return VerifyReport("sums", params, PASS, checked, details=details)
     point, lhs_direct, (lhs_collapsed, rhs_val) = mismatch
@@ -468,7 +446,7 @@ def check_two_three_sums(N: int, n: int) -> VerifyReport:
         # the sorted tuples with a given prefix are one row of last coordinates
         prefixes = itertools.combinations_with_replacement(range(n + 1), fold - 1)
         rows = ((prefix, range(prefix[-1], n + 1)) for prefix in prefixes)
-        fold_checked, mismatch = _first_mismatch_in_rows(evaluator, rows, [closed_form])
+        fold_checked, mismatch = _first_mismatch(evaluator, rows, [closed_form])
         checked += fold_checked
         if mismatch is not None:
             point, lhs, (rhs,) = mismatch
@@ -735,6 +713,8 @@ class SuiteConfig:
     table size for the table-wide checks.  mode applies to the polynomial
     sums-of-products family: "auto" picks the exhaustive grid whenever it has
     at most ``GRID_POINT_LIMIT`` points and sampling otherwise.
+    ``inject_fault`` (N, k), with N >= 1 and k >= 2, bumps B[N,k] by +1 in
+    the number tables of the injectable suites.
     """
 
     suites: tuple[str, ...] = ALL_SUITES
@@ -763,6 +743,11 @@ class SuiteConfig:
                 raise ValueError(f"{name} must be >= {low}")
         if self.sample_count < 1:
             raise ValueError("sample_count must be positive")
+        # level 0 is out of domain and perturbed_numbers bumps only k >= 2;
+        # reject the pair here rather than midway through the run
+        fault = self.inject_fault
+        if fault is not None and (fault[0] < 1 or fault[1] < 2):
+            raise ValueError("inject_fault (N, k) needs N >= 1 and k >= 2")
 
 
 def _cells(suite: Suite, cfg: SuiteConfig):

@@ -68,6 +68,22 @@ def test_unipoly_canonical_form():
     assert UniPoly((0, 1)).degree == 1
 
 
+@pytest.mark.parametrize("bad", [0.1, 0.5, "1/3", "2"])
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda c: UniPoly((c, 1)),
+        lambda c: PowerSeries((c, 1)),
+        lambda c: BiPoly(((1,), (c, 1))),
+    ],
+    ids=["UniPoly", "PowerSeries", "BiPoly"],
+)
+def test_constructors_take_exact_coefficients_only(build, bad):
+    # a float (even an exact binary one like 0.5) or a string is not coerced
+    with pytest.raises(TypeError):
+        build(bad)
+
+
 def test_poly_eval_cases():
     b2 = UniPoly((Fraction(1, 6), -1, 1))  # x^2 - x + 1/6
     assert poly_eval(b2, 0) == Fraction(1, 6)

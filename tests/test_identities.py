@@ -30,7 +30,6 @@ from hyperbern.identities import (
     _check_cell,
     _closed_form,
     _first_mismatch,
-    _first_mismatch_in_rows,
     check_appell_basics,
     check_genfun_ode,
     check_kamano,
@@ -55,9 +54,10 @@ rationals = st.fractions(min_value=-20, max_value=20, max_denominator=12)
 def test_integer_evaluator_matches_fraction_path(n, points):
     polys = hb_polys(2, n).polys
     ev = _MultinomialEvaluator(polys, n)
-    ((_, lhs),) = ev.evaluate([tuple(points)])
     plain = [[poly_eval(p, x) for p in polys] for x in points]
-    assert lhs == multinomial_sum_bruteforce(plain, n)
+    direct = multinomial_sum_bruteforce(plain, n)
+    row = tuple(points[:-1]), tuple(points[-1:])
+    assert _first_mismatch(ev, [row], [UniPoly((direct,))]) == (1, None)
 
 
 # coordinates from a small pool, so that points repeat and share leading runs
@@ -77,11 +77,11 @@ _pooled = st.one_of(
 def test_evaluate_any_point_order(n, points):
     # repeated points and orders that no check produces, each against brute force
     polys = hb_polys(3, n).polys
-    out = list(_MultinomialEvaluator(polys, n).evaluate(points))
-    assert [point for point, _ in out] == points
-    for point, value in out:
+    ev = _MultinomialEvaluator(polys, n)  # shared, so repeated coordinates reuse their vectors
+    for point in points:
         plain = [[poly_eval(p, Fraction(x)) for p in polys] for x in point]
-        assert value == multinomial_sum_bruteforce(plain, n)
+        direct = multinomial_sum_bruteforce(plain, n)
+        assert _first_mismatch(ev, [(point[:-1], point[-1:])], [UniPoly((direct,))]) == (1, None)
 
 
 def _fraction_walk(polys, n, points, sides):
@@ -126,7 +126,8 @@ def _walks(draw):
 @given(_walks())
 def test_integer_walk_matches_fraction_walk(walk):
     polys, n, points, sides = walk
-    got = _first_mismatch(_MultinomialEvaluator(polys, n), points, sides)
+    rows = [(point[:-1], point[-1:]) for point in points]
+    got = _first_mismatch(_MultinomialEvaluator(polys, n), rows, sides)
     assert got == _fraction_walk(polys, n, points, sides)
 
 
@@ -168,8 +169,9 @@ def _row_walks(draw):
 @given(_row_walks())
 def test_row_walk_matches_point_walk(walk):
     polys, n, rows, points, sides = walk
-    got = _first_mismatch_in_rows(_MultinomialEvaluator(polys, n), rows, sides)
-    assert got == _first_mismatch(_MultinomialEvaluator(polys, n), points, sides)
+    got = _first_mismatch(_MultinomialEvaluator(polys, n), rows, sides)
+    point_rows = [(point[:-1], point[-1:]) for point in points]
+    assert got == _first_mismatch(_MultinomialEvaluator(polys, n), point_rows, sides)
     assert got == _fraction_walk(polys, n, points, sides)
 
 
@@ -212,7 +214,8 @@ def test_kamano_against_bruteforce_range(level, order):
         direct = multinomial_sum_bruteforce([list(values)] * order, n)
         # the integer path check_kamano takes: the numbers as constant polynomials at x = 0
         ev = _MultinomialEvaluator([UniPoly((v,)) for v in values], n)
-        assert list(ev.evaluate([(0,) * order])) == [((0,) * order, direct)]
+        row = (0,) * (order - 1), range(1)
+        assert _first_mismatch(ev, [row], [UniPoly((direct,))]) == (1, None)
 
 
 def test_kamano_failure_path_is_pinned(monkeypatch):
@@ -560,6 +563,13 @@ def test_suite_empty_level_range():
         SuiteConfig(N_max=0)
     with pytest.raises(ValueError):
         SuiteConfig(r_max=0)
+
+
+@pytest.mark.parametrize("fault", [(1, 1), (1, 0), (0, 2), (-1, 3)])
+def test_suite_rejects_out_of_domain_fault(fault):
+    # rejected when the config is made, before any cell runs
+    with pytest.raises(ValueError, match="inject_fault"):
+        SuiteConfig(suites=("kamano", "ode"), N_max=2, n_max=4, inject_fault=fault)
 
 
 def test_suite_rejects_unknown():
