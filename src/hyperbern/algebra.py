@@ -19,7 +19,8 @@ numerators over one denominator:
   combines numerators in ints and reduces once per result; ``coeffs`` builds
   the reduced ``Fraction`` coefficients on each read.
 * :class:`BiPoly` -- polynomial in ``x`` whose coefficients, its rows, are
-  ``UniPoly``s in ``s``; its arithmetic is ``UniPoly``'s, row by row.
+  ``UniPoly``s in ``s``: a container with no arithmetic of its own; its
+  builders combine the rows with ``UniPoly``'s.
 * :class:`PowerSeries` -- truncated formal power series in ``t``: a
   ``UniPoly`` plus the order through which it is exact.  Binary operations
   take the min of the operand orders and never claim precision beyond it.
@@ -30,7 +31,6 @@ numerators over one denominator:
 
 from __future__ import annotations
 
-import itertools
 import math
 import operator
 import re
@@ -215,12 +215,6 @@ class UniPoly:
     def degree(self) -> int | None:
         return len(self.nums) - 1 if self.nums else None
 
-    @property
-    def leading_coefficient(self) -> Fraction:
-        if not self.nums:
-            raise ValueError("zero polynomial has no leading coefficient")
-        return Fraction(self.nums[-1], self.den)
-
     def __add__(self, other: UniPoly) -> UniPoly:
         return poly_combination(((1, self), (1, other)))
 
@@ -313,9 +307,10 @@ class BiPoly:
     """Polynomial in x whose coefficients are polynomials in s.
 
     ``rows[i]`` is the :class:`UniPoly` in s multiplying ``x**i``, trailing zero
-    rows trimmed (zero has no rows); every operation works row by row through
-    ``UniPoly`` arithmetic.  The constructor also takes nested tuples of
-    ints and Fractions.
+    rows trimmed (zero has no rows).  It is a container: the s-shift and
+    s-substitution below, and the A-table recurrence in ``core``, work on the
+    rows with ``UniPoly`` arithmetic.  The constructor also takes nested
+    tuples of ints and Fractions.
     """
 
     rows: tuple[UniPoly, ...] = ()
@@ -327,55 +322,12 @@ class BiPoly:
         object.__setattr__(self, "rows", tuple(rows))
 
     @property
-    def coeffs(self) -> tuple[tuple[Fraction, ...], ...]:
-        """``coeffs[i][j]`` multiplies ``x**i * s**j``: a rectangular matrix
-        with trailing all-zero rows and columns trimmed, ``()`` for zero."""
-        width = max((len(r.nums) for r in self.rows), default=0)
-        return tuple(r.coeffs + (Fraction(0),) * (width - len(r.nums)) for r in self.rows)
-
-    @property
     def is_zero(self) -> bool:
         return not self.rows
 
     @property
-    def x_degree(self) -> int | None:
-        return len(self.rows) - 1 if self.rows else None
-
-    @property
     def s_degree(self) -> int | None:
         return max(len(r.nums) for r in self.rows) - 1 if self.rows else None
-
-    def __add__(self, other: BiPoly) -> BiPoly:
-        pairs = itertools.zip_longest(self.rows, other.rows, fillvalue=UniPoly())
-        return BiPoly(tuple(a + b for a, b in pairs))
-
-    def __neg__(self) -> BiPoly:
-        return BiPoly(tuple(-r for r in self.rows))
-
-    def __sub__(self, other: BiPoly) -> BiPoly:
-        return self + (-other)
-
-    def __mul__(self, other: BiPoly | RationalLike) -> BiPoly:
-        if isinstance(other, BiPoly):
-            # zero has no rows, so a zero factor leaves no terms
-            terms = [[] for _ in range(len(self.rows) + len(other.rows) - 1)]
-            for i, a in enumerate(self.rows):
-                for j, b in enumerate(other.rows):
-                    terms[i + j].append((1, a * b))
-            return BiPoly(tuple(map(poly_combination, terms)))
-        return BiPoly(tuple(r * other for r in self.rows))
-
-    __rmul__ = __mul__
-
-    @staticmethod
-    def from_x_poly(p: UniPoly) -> BiPoly:
-        """Embed a polynomial in x as a BiPoly constant in s."""
-        return BiPoly(tuple(UniPoly.from_integers((c,), p.den) for c in p.nums))
-
-    @staticmethod
-    def from_s_poly(p: UniPoly) -> BiPoly:
-        """Embed a polynomial in s as a BiPoly constant in x."""
-        return BiPoly((p,))
 
 
 def bipoly_subst_s(a: BiPoly, sval: RationalLike) -> UniPoly:
@@ -431,21 +383,18 @@ def bipoly_shift_s(a: BiPoly, offset: RationalLike) -> BiPoly:
 class PowerSeries:
     """Formal power series in t, exact through ``t**order``: the canonical
     :class:`UniPoly` of its coefficients, plus the order, which keeps the
-    precision that trimmed trailing zeros drop.  The constructor takes the
-    ``order + 1`` rational coefficients, :meth:`of` a polynomial and an order;
-    ``coeffs`` builds the ``order + 1`` reduced Fractions on every read."""
+    precision that trimmed trailing zeros drop.  :meth:`of`, the one
+    constructor, takes a polynomial and an order >= 0; ``coeffs`` builds the
+    ``order + 1`` reduced Fractions on every read."""
 
     poly: UniPoly
     order: int
 
-    def __init__(self, coeffs) -> None:
-        if not coeffs:
-            raise ValueError("a series needs at least its constant term")
-        vars(self).update(poly=UniPoly(coeffs), order=len(coeffs) - 1)
-
     @staticmethod
     def of(poly: UniPoly, order: int) -> PowerSeries:
         """The series ``poly + O(t**(order+1))``: poly truncated through t**order."""
+        if order < 0:
+            raise ValueError("a series needs at least its constant term")
         if len(poly.nums) > order + 1:
             poly = UniPoly.from_integers(poly.nums[: order + 1], poly.den)
         s = object.__new__(PowerSeries)

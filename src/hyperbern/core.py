@@ -22,6 +22,7 @@ the identity layer can cross-certify them.
 
 from __future__ import annotations
 
+import itertools
 import math
 import operator
 from dataclasses import dataclass
@@ -231,35 +232,47 @@ def hb_order_step(table: HBPolyTable, n: int) -> UniPoly:
     return poly_combination(terms) / (N * r)
 
 
-def a_poly(N: int, r: int) -> APolyTable:
-    """Coefficient polynomial table A_r(i, x; s), i = 0..r-1.
+def _a_table(N: int, r: int, keep_x: bool) -> APolyTable:
+    """The A-coefficient recurrence, written row by row.
 
-    Built by the two-term recurrence
+    With a = A_{r-1}(i)|_{s -> s-N} and b = A_{r-1}(i-1)|_{s -> s-N+1}
+    (out-of-range entries zero), the coefficient of x^k in A_r(i) is
+
+        ((s-1) a_k - b_{k-1})/(r-1) + b_k,
+
+    one :func:`poly_combination` per row.  Without ``keep_x`` the b_{k-1}
+    term is dropped: that is the recurrence at x = 0, where the factor
+    -(x-(r-1))/(r-1) equals 1.
+    """
+    if N < 1 or r < 1:
+        raise ValueError("N and r must be >= 1")
+    zero, s_minus_1 = UniPoly(), UniPoly((-1, 1))
+    entries = [BiPoly((UniPoly((1,)),))]
+    for rr in range(2, r + 1):
+        inv = Fraction(1, rr - 1)
+        new = []
+        for i in range(rr):
+            a = bipoly_shift_s(entries[i], -N).rows if i < rr - 1 else ()
+            b = bipoly_shift_s(entries[i - 1], 1 - N).rows if i else ()
+            lower = (zero, *b) if keep_x else ()  # b_{k-1}: the rows of x b
+            rows = itertools.zip_longest(a, b, lower, fillvalue=zero)
+            terms = (((inv, s_minus_1 * ak), (1, bk), (-inv, bk1)) for ak, bk, bk1 in rows)
+            new.append(BiPoly(tuple(map(poly_combination, terms))))
+        entries = new
+    return APolyTable(N=N, r=r, entries=tuple(entries))
+
+
+def a_poly(N: int, r: int) -> APolyTable:
+    """Coefficient polynomial table A_r(i, x; s), i = 0..r-1, by the recurrence
 
         A_1(0) = 1
         A_r(i) = (s-1)/(r-1) * A_{r-1}(i)|_{s -> s-N}
                  - (x-(r-1))/(r-1) * A_{r-1}(i-1)|_{s -> s-N+1}
 
     with out-of-range entries zero; the s-shifts are exact binomial
-    re-expansions.
+    re-expansions, and each power of x is one row formula (see ``_a_table``).
     """
-    if N < 1 or r < 1:
-        raise ValueError("N and r must be >= 1")
-    entries: list[BiPoly] = [BiPoly(((Fraction(1),),))]
-    s_minus_1 = BiPoly.from_s_poly(UniPoly((-1, 1)))
-    for rr in range(2, r + 1):
-        inv = Fraction(1, rr - 1)
-        x_factor = BiPoly.from_x_poly(UniPoly((-(rr - 1), 1)))  # x - (rr-1)
-        new: list[BiPoly] = []
-        for i in range(rr):
-            term = BiPoly()
-            if i <= rr - 2:
-                term = term + inv * (s_minus_1 * bipoly_shift_s(entries[i], -N))
-            if i >= 1:
-                term = term - inv * (x_factor * bipoly_shift_s(entries[i - 1], -N + 1))
-            new.append(term)
-        entries = new
-    return APolyTable(N=N, r=r, entries=tuple(entries))
+    return _a_table(N, r, keep_x=True)
 
 
 def a_poly_at_zero(N: int, r: int) -> APolyTable:
@@ -268,25 +281,12 @@ def a_poly_at_zero(N: int, r: int) -> APolyTable:
         A_1(0) = 1
         A_r(i) = (s-1)/(r-1) * A_{r-1}(i)|_{s -> s-N} + A_{r-1}(i-1)|_{s -> s-N+1}
 
-    rather than by substituting x = 0 into a_poly.  No ``verify`` suite
-    compares the two; only the package's unit tests check that they agree.
+    rather than by substituting x = 0 into a_poly: it is the row formula of
+    ``_a_table`` without the b_{k-1} term, and never reads a_poly's result.
+    No ``verify`` suite compares the two; the package's unit tests and a
+    sympy expansion of the recurrence check that they agree.
     """
-    if N < 1 or r < 1:
-        raise ValueError("N and r must be >= 1")
-    entries: list[BiPoly] = [BiPoly(((Fraction(1),),))]
-    s_minus_1 = BiPoly.from_s_poly(UniPoly((-1, 1)))
-    for rr in range(2, r + 1):
-        inv = Fraction(1, rr - 1)
-        new: list[BiPoly] = []
-        for i in range(rr):
-            term = BiPoly()
-            if i <= rr - 2:
-                term = term + inv * (s_minus_1 * bipoly_shift_s(entries[i], -N))
-            if i >= 1:
-                term = term + bipoly_shift_s(entries[i - 1], -N + 1)
-            new.append(term)
-        entries = new
-    return APolyTable(N=N, r=r, entries=tuple(entries))
+    return _a_table(N, r, keep_x=False)
 
 
 def mult_operator_apply(table: HBPolyTable, n: int) -> UniPoly:

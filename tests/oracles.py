@@ -35,6 +35,11 @@ def classical_bernoulli(n_max: int) -> list[Fraction]:
     return values
 
 
+def series(coeffs) -> PowerSeries:
+    """The series exact through t**(len(coeffs) - 1) with these coefficients."""
+    return PowerSeries.of(UniPoly(tuple(coeffs)), len(coeffs) - 1)
+
+
 def series_mul_fractions(a: PowerSeries, b: PowerSeries) -> PowerSeries:
     """Cauchy product in Fraction arithmetic, truncated to the smaller order."""
     order = min(a.order, b.order)
@@ -42,7 +47,7 @@ def series_mul_fractions(a: PowerSeries, b: PowerSeries) -> PowerSeries:
     out = []
     for k in range(order + 1):
         out.append(sum((ac[i] * bc[k - i] for i in range(k + 1)), Fraction(0)))
-    return PowerSeries(tuple(out))
+    return series(out)
 
 
 def series_invert_fractions(a: PowerSeries) -> PowerSeries:
@@ -55,7 +60,7 @@ def series_invert_fractions(a: PowerSeries) -> PowerSeries:
     for k in range(1, a.order + 1):
         acc = sum((a.coeffs[j] * out[k - j] for j in range(1, k + 1)), Fraction(0))
         out.append(-inv0 * acc)
-    return PowerSeries(tuple(out))
+    return series(out)
 
 
 def hb_numbers_by_inversion(N: int, n_max: int) -> list[Fraction]:
@@ -148,12 +153,10 @@ def pochhammer(a: int | Fraction, n: int) -> Fraction:
 
 def bipoly_subst_x(a: BiPoly, xval: int | Fraction) -> UniPoly:
     """Substitute a rational value for x, leaving a polynomial in s."""
-    if a.is_zero:
-        return UniPoly()
-    out = [Fraction(0)] * len(a.coeffs[0])
+    out = [Fraction(0)] * max((len(row.nums) for row in a.rows), default=0)
     power = Fraction(1)
-    for row in a.coeffs:
-        for j, c in enumerate(row):
+    for row in a.rows:
+        for j, c in enumerate(row.coeffs):
             out[j] += c * power
         power *= xval
     return UniPoly(tuple(out))

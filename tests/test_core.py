@@ -352,7 +352,7 @@ def test_a_poly_degree_bounds(level, order):
         if entry.is_zero:
             continue
         assert entry.s_degree <= order - 1 - i
-        assert entry.x_degree <= i
+        assert len(entry.rows) - 1 <= i
 
 
 @pytest.mark.parametrize("level", (1, 2, 3))
@@ -361,8 +361,54 @@ def test_a_poly_at_zero_matches_substitution(level, order):
     full = a_poly(level, order)
     at_zero = a_poly_at_zero(level, order)
     for entry_full, entry_zero in zip(full.entries, at_zero.entries):
-        assert entry_zero.is_zero or entry_zero.x_degree == 0
+        assert entry_zero.is_zero or len(entry_zero.rows) == 1
         assert bipoly_subst_x(entry_full, 0) == bipoly_subst_x(entry_zero, 0)
+
+
+def monomials(entry):
+    """{(i, j): c} for each nonzero coefficient c of x^i s^j."""
+    return {
+        (i, j): Fraction(c, row.den)
+        for i, row in enumerate(entry.rows)
+        for j, c in enumerate(row.nums)
+        if c
+    }
+
+
+@pytest.mark.parametrize("level", range(1, 5))
+def test_a_tables_match_sympy_expansion(level):
+    # the recurrence in its ring form, expanded by sympy:
+    # A_r(i) = (s-1)/(r-1) A_{r-1}(i)|_{s->s-N} - (x-(r-1))/(r-1) A_{r-1}(i-1)|_{s->s-N+1},
+    # and the same with x -> 0 for the x-free table
+    sympy = pytest.importorskip("sympy")
+    x, s = sympy.symbols("x s")
+
+    def step(prev, xval, order):
+        inv = sympy.Rational(1, order - 1)
+
+        def shifted(i, offset):
+            return prev[i].subs(s, s + offset) if 0 <= i < len(prev) else 0
+
+        return [
+            sympy.expand(
+                inv * (s - 1) * shifted(i, -level)
+                - inv * (xval - (order - 1)) * shifted(i - 1, 1 - level)
+            )
+            for i in range(order)
+        ]
+
+    def expected(expr):
+        terms = sympy.Poly(expr, x, s).as_dict()
+        return {k: Fraction(int(c.p), int(c.q)) for k, c in terms.items() if c}
+
+    full = free = [sympy.Integer(1)]
+    for order in range(1, 7):
+        if order > 1:
+            full, free = step(full, x, order), step(free, sympy.Integer(0), order)
+        for built, want in ((a_poly(level, order), full), (a_poly_at_zero(level, order), free)):
+            assert len(built.entries) == order
+            for entry, expr in zip(built.entries, want):
+                assert monomials(entry) == expected(expr)
 
 
 def test_a_poly_at_zero_two_fold_second_entry_is_one():
@@ -409,7 +455,7 @@ def test_appell_derivative_and_monicity(level, order):
     table = hb_higher_polys_series(level, order, 12)
     for n, p in enumerate(table.polys):
         assert p.degree == n
-        assert p.leading_coefficient == 1
+        assert p.nums[-1] == p.den
         if n:
             assert poly_derivative(p) == n * table.polys[n - 1]
 

@@ -42,7 +42,7 @@ from hyperbern.identities import (
     replay,
     run_suite,
 )
-from oracles import classical_bernoulli, multinomial_sum_bruteforce, series_mul_fractions
+from oracles import classical_bernoulli, multinomial_sum_bruteforce, series, series_mul_fractions
 
 rationals = st.fractions(min_value=-20, max_value=20, max_denominator=12)
 
@@ -466,7 +466,7 @@ def bump_series_invert(monkeypatch, k):
     def bumped(a):
         coeffs = list(exact(a).coeffs)
         coeffs[k] += 1
-        return PowerSeries(tuple(coeffs))
+        return series(coeffs)
 
     monkeypatch.setattr(identities, "series_invert", bumped)
     return bumped
@@ -504,8 +504,8 @@ def test_logderiv_failure_is_the_first_wrong_coefficient(monkeypatch, order_r):
     a = PowerSeries.one(order + 1)
     for _ in range(order_r):
         a = series_mul_fractions(a, invert(normalized_denominator(level, order + 1)))
-    a_prime = PowerSeries(tuple(j * a.coeffs[j] for j in range(1, order + 2)))
-    a_inv = invert(PowerSeries(a.coeffs[: order + 1]))
+    a_prime = series([j * a.coeffs[j] for j in range(1, order + 2)])
+    a_inv = invert(series(a.coeffs[: order + 1]))
     lhs = series_mul_fractions(a_prime, a_inv).coeffs
     values = hb_numbers(level, order + 1).values
     rhs = [Fraction(-order_r, level + 1)] + [
