@@ -4,8 +4,9 @@ Every check compares independently computed exact rational values; there are
 no tolerances anywhere.  A polynomial identity is certified either by
 coefficientwise comparison, by exhaustive evaluation on an integer grid large
 enough to pin the polynomial (per-variable degree d needs d+1 points per
-variable), or by seeded random rational sample points when the grid would be
-too large to be worth exhausting.
+variable) or on the principal lattice (total degree d needs the nonnegative
+integer points with coordinate sum at most d), or by seeded random rational
+sample points when the grid would be too large to be worth exhausting.
 
 Checks return :class:`VerifyReport` records; :func:`run_suite` drives them
 over parameter ranges deterministically, recording precondition violations
@@ -111,44 +112,6 @@ class VerifyReport:
 # ---------------------------------------------------------------------------
 
 
-class _MultinomialEvaluator:
-    """The per-coordinate integer vectors of the multinomial convolution of
-    polynomial values at rational points, which :func:`_first_mismatch`
-    convolves and compares.
-
-    For a point x = a/b the vector entry p_i(x)/i! is represented as an
-    integer u_i over the common scale M = D * n! * b^n (D clears every
-    coefficient denominator), so the convolutions in the hot path run on
-    plain integers.  Each distinct coordinate becomes its vector once per
-    evaluator, so walks that share an evaluator (the two folds of
-    ``two-three``) share the vectors.  The tests pin the walk against
-    brute-force composition enumeration.
-    """
-
-    def __init__(self, polys, n: int):
-        self.n = n
-        self.fact_n = math.factorial(n)
-        polys = polys[: n + 1]
-        d = math.lcm(*(p.den for p in polys))
-        self.denom_clear = d
-        self.int_coeffs = [[c * (d // p.den) for c in p.nums] for p in polys]
-        self.fall = [self.fact_n // math.factorial(i) for i in range(n + 1)]
-        self._scaled: dict = {}  # coordinate -> (vector, vector reversed, scale)
-
-    def _vector(self, x) -> tuple[list[int], list[int], int]:
-        """The integer vector of coordinate x = a/b (entry i is p_i(x)/i!
-        times its scale D * n! * b^n), the vector reversed, and that scale."""
-        if x not in self._scaled:
-            a, b = x.numerator, x.denominator
-            top = b**self.n
-            u = []
-            for coeffs, fall in zip(self.int_coeffs, self.fall):
-                h, bpow = _horner(coeffs, a, b)
-                u.append(h * fall * (top // bpow))
-            self._scaled[x] = u, u[::-1], self.denom_clear * self.fact_n * top
-        return self._scaled[x]
-
-
 def _cell_rng(seed: int, name: str, *index: int) -> random.Random:
     """Deterministic per-cell generator, independent of execution order."""
     key = f"{seed}:{name}:" + ":".join(str(i) for i in index)
@@ -235,54 +198,70 @@ def _closed_form(N: int, r: int, n: int, entries, polys) -> UniPoly:
     )
 
 
-def _dot_target(int_sides, x_sum, scale: int, fact_n: int) -> int | None:
-    """The integer that dot must be for n! * dot / scale to equal every side
-    at x_sum, or None if no integer is (a side needs a non-integer, or two
-    sides need different ones).
+def _first_mismatch(polys, n: int, rows, sides):
+    """Compare the multinomial sum of the values of polys[0..n] at each point
+    of each row with every side polynomial at the point's coordinate sum, in
+    integers.
 
-    A side with numerators c_k over d at x_sum = a/b is H / (d * b^deg) by
-    Horner's scheme in integers, so the dot it needs is
-    H * scale / (n! * d * b^deg)."""
-    a, b = x_sum.numerator, x_sum.denominator
-    wanted = set()
-    for nums, d in int_sides:
-        h, bpow = _horner(nums, a, b)
-        q, rem = divmod(h * scale, fact_n * d * bpow)
-        wanted.add(None if rem else q)
-    return wanted.pop() if len(wanted) == 1 else None
-
-
-def _first_mismatch(evaluator: _MultinomialEvaluator, rows, sides):
-    """Compare the multinomial sum at each point of each row with every side
-    polynomial at the point's coordinate sum, in integers.
-
-    A row is (prefix, lasts): the points prefix + (x,) for x in lasts, in
-    order.  A row's last coordinates share one denominator (a range of
-    integers, or a single rational), so they share the scale, and the sum at
-    prefix + (lasts[j],) is n! * dots[j] / scale with integer dots[j].
+    A coordinate x = a/b becomes the integer vector whose entry i is p_i(x)/i!
+    times the scale M = D * n! * b^n (D clears every coefficient denominator),
+    once per call.  A row is (prefix, lasts): the points prefix + (x,) for x in
+    lasts, in order.  A row's last coordinates share one denominator (a range
+    of integers, or a single rational), so they share the scale, and the sum
+    at prefix + (lasts[j],) is n! * dots[j] / scale with integer dots[j].
     Consecutive rows share the convolution of their common leading
     coordinates: the stack holds the convolution of each leading run of the
     prefix, the empty run being the unit, and is rebuilt only from the first
     coordinate that changed.  The row's dots are then one comprehension over
-    its last coordinates.
+    its last coordinates, and the row is compared with one list comparison.
 
-    A point whose dot differs from its integer target (see
-    :func:`_dot_target`) is a mismatch, as is a point whose target is not an
-    integer.  A row whose lasts is a range holds nonnegative integer points,
-    all at one scale: its targets are a slice of one list per scale, indexed
-    by the integer coordinate sum and extended as needed, so the row is
-    compared with one list comparison.  Other rows compute each point's
-    target.  Fractions are built only for the counterexample.
+    A point's target is the integer its dot must be for every side to hold,
+    or None if no integer is (a side needs a non-integer, or two sides need
+    different ones); a point whose dot differs from its target is a
+    mismatch.  Targets depend only on the scale and the coordinate sum, so
+    they are memoized under that pair and rows of integer points share them.
+    Fractions are built only for the counterexample.
 
     Returns the number of points checked and the first (point, lhs, side
-    values) where some side differs, or None.
+    values) where some side differs, or None.  The tests pin the walk against
+    brute-force composition enumeration.
     """
-    n, fact_n = evaluator.n, evaluator.fact_n
+    fact_n = math.factorial(n)
+    polys = polys[: n + 1]
+    d = math.lcm(*(p.den for p in polys))
+    int_coeffs = [[c * (d // p.den) for c in p.nums] for p in polys]
+    fall = [fact_n // math.factorial(i) for i in range(n + 1)]
+    vectors: dict = {}  # coordinate -> (its vector, the vector's scale)
+
+    def vector(x):
+        if x not in vectors:
+            a, b = x.numerator, x.denominator
+            top = b**n
+            u = []
+            for coeffs, f in zip(int_coeffs, fall):
+                h, bpow = _horner(coeffs, a, b)
+                u.append(h * f * (top // bpow))
+            vectors[x] = u, d * fact_n * top
+        return vectors[x]
+
     int_sides = [(side.nums, side.den) for side in sides]
+
+    def target(x_sum, scale: int) -> int | None:
+        # a side with numerators c_k over den at x_sum = a/b is H / (den * b^deg)
+        # by Horner's scheme in integers, so the dot it needs is
+        # H * scale / (n! * den * b^deg)
+        a, b = x_sum.numerator, x_sum.denominator
+        needed = set()
+        for nums, den in int_sides:
+            h, bpow = _horner(nums, a, b)
+            q, rem = divmod(h * scale, fact_n * den * bpow)
+            needed.add(None if rem else q)
+        return needed.pop() if len(needed) == 1 else None
+
     stack = [([1] + [0] * n, 1)]
     prev: tuple = ()
     by_lasts: dict = {}  # lasts -> (its reversed vectors, their scale)
-    by_sum: dict[int, list] = {}  # scale -> targets at the integer sums 0, 1, ...
+    targets: dict = {}  # scale -> {coordinate sum -> target}
     checked = 0
     for prefix, lasts in rows:
         # stack[j] is the convolution of prev[:j]
@@ -292,33 +271,26 @@ def _first_mismatch(evaluator: _MultinomialEvaluator, rows, sides):
         del stack[k + 1 :]
         for x in prefix[k:]:
             conv, m_total = stack[-1]
-            u, _, m = evaluator._vector(x)
+            u, m = vector(x)
             # the unit convolved with a vector is that vector
             stack.append((u if len(stack) == 1 else _conv(conv, u, n + 1), m_total * m))
         prev = prefix
         conv, m_total = stack[-1]
         if lasts not in by_lasts:
-            vectors = [evaluator._vector(x) for x in lasts]
-            by_lasts[lasts] = [rev for _, rev, _ in vectors], vectors[0][2]
+            by_lasts[lasts] = [vector(x)[0][::-1] for x in lasts], vector(lasts[0])[1]
         revs, m = by_lasts[lasts]
         dots = [sum(map(operator.mul, conv, rev)) for rev in revs]
         scale = m_total * m
         x0 = sum(prefix)
-        if type(lasts) is range:
-            targets = by_sum.setdefault(scale, [])
-            stop = x0 + lasts.stop
-            while len(targets) < stop:
-                targets.append(_dot_target(int_sides, len(targets), scale, fact_n))
-            wanted = targets[x0 + lasts.start : stop]
-        else:
-            wanted = [_dot_target(int_sides, x0 + x, scale, fact_n) for x in lasts]
+        at = targets.setdefault(scale, {})  # coordinate sum -> target, at this scale
+        sums = [x0 + x for x in lasts]
+        wanted = [at[s] if s in at else at.setdefault(s, target(s, scale)) for s in sums]
         if dots == wanted:
             checked += len(dots)
             continue
         j = next(j for j, (dot, want) in enumerate(zip(dots, wanted)) if dot != want)
-        x_sum = x0 + lasts[j]
         lhs = Fraction(fact_n * dots[j], scale)
-        mismatch = prefix + (lasts[j],), lhs, [poly_eval(side, x_sum) for side in sides]
+        mismatch = prefix + (lasts[j],), lhs, [poly_eval(side, sums[j]) for side in sides]
         return checked + j + 1, mismatch
     return checked, None
 
@@ -337,7 +309,7 @@ def check_kamano(N: int, r: int, n: int) -> VerifyReport:
     rhs = _closed_form(N, r, n, _table("a_poly_at_zero", N, r).entries, polys)
     # the one point (0, ..., 0), as an integer row
     row = (0,) * (r - 1), range(1)
-    _, mismatch = _first_mismatch(_MultinomialEvaluator(polys, n), [row], [rhs])
+    _, mismatch = _first_mismatch(polys, n, [row], [rhs])
     if mismatch is None:
         return VerifyReport("kamano", params, PASS, 1)
     _, lhs, (rhs_val,) = mismatch
@@ -377,7 +349,6 @@ def check_sums_of_products(
     higher = _table("hb_higher_polys_series", N, r, n).polys[n]
     rhs = _closed_form(N, r, n, _table("a_poly", N, r).entries, polys1)
 
-    evaluator = _MultinomialEvaluator(polys1, n)
     sides = [higher, rhs]
     # the collapsed side and the closed form depend on the point only through
     # its sum; the direct side is still computed at every point
@@ -397,7 +368,7 @@ def check_sums_of_products(
             "points": [[format_rational(c) for c in pt] for pt in points],
         }
         rows = ((pt[:-1], pt[-1:]) for pt in points)  # each point a row of its own
-    checked, mismatch = _first_mismatch(evaluator, rows, sides)
+    checked, mismatch = _first_mismatch(polys1, n, rows, sides)
     if mismatch is None:
         return VerifyReport("sums", params, PASS, checked, details=details)
     point, lhs_direct, (lhs_collapsed, rhs_val) = mismatch
@@ -421,15 +392,19 @@ def check_two_three_sums(N: int, n: int) -> VerifyReport:
               + n((2N-n)(x-1) + (x-2)(N-n+1)) B_{n-1}(x)
               + n(n-1)(x-1)(x-2) B_{n-2}(x) ]
 
-    Certified on the integer grid; both sides are symmetric under permuting
-    the evaluation points (the left side sums over all compositions, the
-    right depends only on their sum), so sorted tuples cover the whole grid.
+    Certified on the principal lattice {a in N^f : sum(a) <= n} of each fold
+    f.  When every B_i(x) walked has degree <= i, the left side is a
+    polynomial of total degree <= n in the f points, and when the closed form
+    has degree <= n so is the right side; the lattice is unisolvent for total
+    degree <= n (Chung & Yao, SIAM J. Numer. Anal. 14, 1977), so agreement on
+    its C(n+f, f) points proves the identity.  Those degree bounds are
+    checked first: a polynomial past its bound fails the cell, with the
+    polynomial, its degree and the bound as the counterexample.
     """
     if n < 1:
         raise ValueError(f"identity requires n >= 1 (got n={n})")
     params = {"N": N, "n": n}
     polys1 = _table("hb_polys", N, n).polys
-    evaluator = _MultinomialEvaluator(polys1, n)
 
     b_n, b_n1 = polys1[n], polys1[n - 1]
     x_1, x_2 = UniPoly((-1, 1)), UniPoly((-2, 1))  # x - 1, x - 2
@@ -441,12 +416,18 @@ def check_two_three_sums(N: int, n: int) -> VerifyReport:
             + n * (n - 1) * (x_1 * x_2 * polys1[n - 2])
         )
 
+    premises = [(f"B_{i}(x)", p, i) for i, p in enumerate(polys1)]
+    premises += [(f"fold-{fold} closed form", cf, n) for fold, cf in closed_forms.items()]
+    for name, p, bound in premises:
+        if len(p.nums) - 1 > bound:
+            counter = {"polynomial": name, "degree": p.degree, "bound": bound}
+            return VerifyReport("two-three", params, FAIL, 0, counterexample=counter)
+
     checked = 0
     for fold, closed_form in closed_forms.items():
-        # the sorted tuples with a given prefix are one row of last coordinates
-        prefixes = itertools.combinations_with_replacement(range(n + 1), fold - 1)
-        rows = ((prefix, range(prefix[-1], n + 1)) for prefix in prefixes)
-        fold_checked, mismatch = _first_mismatch(evaluator, rows, [closed_form])
+        prefixes = (a for a in itertools.product(range(n + 1), repeat=fold - 1) if sum(a) <= n)
+        rows = ((prefix, range(n - sum(prefix) + 1)) for prefix in prefixes)
+        fold_checked, mismatch = _first_mismatch(polys1, n, rows, [closed_form])
         checked += fold_checked
         if mismatch is not None:
             point, lhs, (rhs,) = mismatch

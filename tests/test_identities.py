@@ -2,6 +2,7 @@ import math
 import sys
 from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -9,7 +10,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from hyperbern import core, identities
-from hyperbern.algebra import PowerSeries, UniPoly, format_rational, poly_eval
+from hyperbern.algebra import BiPoly, PowerSeries, UniPoly, format_rational, poly_eval
 from hyperbern.core import (
     HBNumberTable,
     HBPolyTable,
@@ -26,7 +27,6 @@ from hyperbern.identities import (
     SKIPPED,
     SUITES,
     SuiteConfig,
-    _MultinomialEvaluator,
     _check_cell,
     _closed_form,
     _first_mismatch,
@@ -53,11 +53,10 @@ rationals = st.fractions(min_value=-20, max_value=20, max_denominator=12)
 @given(st.integers(min_value=0, max_value=7), st.lists(rationals, min_size=1, max_size=3))
 def test_integer_evaluator_matches_fraction_path(n, points):
     polys = hb_polys(2, n).polys
-    ev = _MultinomialEvaluator(polys, n)
     plain = [[poly_eval(p, x) for p in polys] for x in points]
     direct = multinomial_sum_bruteforce(plain, n)
     row = tuple(points[:-1]), tuple(points[-1:])
-    assert _first_mismatch(ev, [row], [UniPoly((direct,))]) == (1, None)
+    assert _first_mismatch(polys, n, [row], [UniPoly((direct,))]) == (1, None)
 
 
 # coordinates from a small pool, so that points repeat and share leading runs
@@ -77,11 +76,11 @@ _pooled = st.one_of(
 def test_evaluate_any_point_order(n, points):
     # repeated points and orders that no check produces, each against brute force
     polys = hb_polys(3, n).polys
-    ev = _MultinomialEvaluator(polys, n)  # shared, so repeated coordinates reuse their vectors
     for point in points:
         plain = [[poly_eval(p, Fraction(x)) for p in polys] for x in point]
         direct = multinomial_sum_bruteforce(plain, n)
-        assert _first_mismatch(ev, [(point[:-1], point[-1:])], [UniPoly((direct,))]) == (1, None)
+        row = point[:-1], point[-1:]
+        assert _first_mismatch(polys, n, [row], [UniPoly((direct,))]) == (1, None)
 
 
 def _fraction_walk(polys, n, points, sides):
@@ -127,7 +126,7 @@ def _walks(draw):
 def test_integer_walk_matches_fraction_walk(walk):
     polys, n, points, sides = walk
     rows = [(point[:-1], point[-1:]) for point in points]
-    got = _first_mismatch(_MultinomialEvaluator(polys, n), rows, sides)
+    got = _first_mismatch(polys, n, rows, sides)
     assert got == _fraction_walk(polys, n, points, sides)
 
 
@@ -169,9 +168,9 @@ def _row_walks(draw):
 @given(_row_walks())
 def test_row_walk_matches_point_walk(walk):
     polys, n, rows, points, sides = walk
-    got = _first_mismatch(_MultinomialEvaluator(polys, n), rows, sides)
+    got = _first_mismatch(polys, n, rows, sides)
     point_rows = [(point[:-1], point[-1:]) for point in points]
-    assert got == _first_mismatch(_MultinomialEvaluator(polys, n), point_rows, sides)
+    assert got == _first_mismatch(polys, n, point_rows, sides)
     assert got == _fraction_walk(polys, n, points, sides)
 
 
@@ -213,9 +212,9 @@ def test_kamano_against_bruteforce_range(level, order):
         values = hb_numbers(level, n).values
         direct = multinomial_sum_bruteforce([list(values)] * order, n)
         # the integer path check_kamano takes: the numbers as constant polynomials at x = 0
-        ev = _MultinomialEvaluator([UniPoly((v,)) for v in values], n)
         row = (0,) * (order - 1), range(1)
-        assert _first_mismatch(ev, [row], [UniPoly((direct,))]) == (1, None)
+        constants = [UniPoly((v,)) for v in values]
+        assert _first_mismatch(constants, n, [row], [UniPoly((direct,))]) == (1, None)
 
 
 def test_kamano_failure_path_is_pinned(monkeypatch):
@@ -350,6 +349,27 @@ def test_two_three_sums_pass(level):
 def test_two_three_precondition():
     with pytest.raises(ValueError):
         check_two_three_sums(1, 0)
+
+
+@pytest.mark.parametrize("n", (3, 6))
+def test_two_three_checks_its_degree_premise(monkeypatch, n):
+    # B_n + x(x-1)...(x-n) has degree n+1 and B_n's values at 0..n, so it agrees
+    # with B_n on every lattice point; only the degree bound can reject it
+    exact = identities.hb_polys
+
+    def inflated(N, top):
+        table = exact(N, top)
+        vanish = UniPoly((1,))
+        for k in range(top + 1):
+            vanish = vanish * UniPoly((-k, 1))
+        return replace(table, polys=table.polys[:top] + (table.polys[top] + vanish,))
+
+    monkeypatch.setattr(identities, "hb_polys", inflated)
+    rep = check_two_three_sums(2, n)
+    assert rep.status == FAIL
+    assert rep.cells_checked == 0
+    assert rep.counterexample == {"polynomial": f"B_{n}(x)", "degree": n + 1, "bound": n}
+    assert replay(rep)
 
 
 def test_two_fold_reproduces_euler_identity():
@@ -610,6 +630,81 @@ def test_suite_fault_injection_fails_ode_and_recurrence():
         assert replay(rep, fault=(1, 2))
     # cells at the unperturbed level never fail
     assert all(r.status != FAIL for r in reports if r.params["N"] == 2)
+
+
+_ONE = UniPoly((1,))
+
+
+def _bump(seq, i, delta):
+    """seq with delta added to entry i, if it has one."""
+    return tuple(v + delta if j == i else v for j, v in enumerate(seq))
+
+
+def _bump_series(series, k):
+    """The series with [t^k] raised by 1, if it is exact through t^k."""
+    if series.order < k:
+        return series
+    return PowerSeries.of(series.poly + UniPoly((0,) * k + (1,)), series.order)
+
+
+def _bump_a1(table, N, r):
+    """The A-table with 1 added to A_r(1), if it has that entry."""
+    if r < 2:
+        return table
+    rows = table.entries[1].rows
+    a1 = BiPoly((rows[0] + _ONE, *rows[1:]))
+    return replace(table, entries=(table.entries[0], a1, *table.entries[2:]))
+
+
+# each independent route, one small break of its result, and the suites that
+# must fail when it is broken (measured on the default run and on this one)
+_ROUTE_BREAKS = {
+    "hb_numbers": (
+        lambda table, N, n: replace(table, values=_bump(table.values, 3, 1)),
+        {"appell", "kamano", "logderiv", "ode", "recurrence", "sums", "two-three"},
+    ),
+    "series_invert": (
+        lambda f, d: _bump_series(f, 4),
+        {"appell", "genfun-ode", "logderiv", "ode", "recurrence", "sums"},
+    ),
+    "series_pow": (
+        lambda g, f, r: _bump_series(g, 4) if r > 1 else g,
+        {"appell", "logderiv", "ode", "recurrence", "sums"},
+    ),
+    "normalized_denominator": (
+        lambda d, N, order: _bump_series(d, 2),
+        {"appell", "genfun-ode", "logderiv", "ode", "recurrence", "sums"},
+    ),
+    "_appell_polys": (
+        lambda polys, values: _bump(polys, 5, UniPoly((0, 1))),
+        {"appell", "ode", "recurrence", "sums", "two-three"},
+    ),
+    "hb_higher_polys_recurrence": (
+        lambda table, N, r, n_max: replace(table, polys=_bump(table.polys, 4, _ONE)),
+        {"appell", "recurrence"},
+    ),
+    "hb_order_step": (lambda p, table, n: p + _ONE if n == 4 else p, {"recurrence"}),
+    "a_poly": (_bump_a1, {"sums"}),
+    "a_poly_at_zero": (_bump_a1, {"kamano"}),
+    "poly_integral_weighted": (lambda v, p, N: v + 1, {"appell"}),
+    "_closed_form": (lambda p, *args: p + _ONE, {"kamano", "sums"}),
+}
+
+
+@pytest.mark.parametrize("route", _ROUTE_BREAKS)
+def test_every_route_matters(monkeypatch, route):
+    # the route is broken wherever core and identities bind it, so that every
+    # caller, a table builder in core or a check, reads the broken result
+    tweak, failing = _ROUTE_BREAKS[route]
+    for module in (core, identities):
+        exact = getattr(module, route, None)
+        if exact is not None:
+            broken = lambda *args, exact=exact, **kwargs: tweak(exact(*args, **kwargs), *args)
+            monkeypatch.setattr(module, route, broken)
+    reports = run_suite(SuiteConfig(N_max=2, r_max=3, n_max=6))
+    failed = [rep for rep in reports if rep.status == FAIL]
+    assert {rep.identity_name for rep in failed} == failing
+    assert all(replay(rep) for rep in failed)
 
 
 def test_replay_of_passing_reports():
