@@ -179,16 +179,17 @@ def hb_higher_polys_recurrence(
 ) -> HBPolyTable:
     """Order-r polynomial table built purely from the linear recurrence.
 
-    Starting from the constant 1, each step is
+    Starting from the constant 1, each step applies the multiplicative
+    operator of :func:`_operator_weights` to the Appell sequence p_n:
 
         p_{n+1} = (x - r/(N+1)) p_n - sum_{k<n} w_{n,k} p_k,
         w_{n,k} = r N C(n,k) B[N,n-k+1]/(n-k+1),
 
     which consumes only the order-1 numbers; the series engine is never
     touched, so this path is independent of hb_higher_polys_series.  Divided
-    by n!, with q_n = p_n/n! and u_j = r N B[N,j+1]/(j+1)!, a step reads
+    by n!, with q_n = p_n/n! and the operator's weights v_j, a step reads
 
-        (n+1) q_{n+1} = (x - r/(N+1)) q_n - sum_{k<n} u_{n-k} q_k,
+        (n+1) q_{n+1} = x q_n + sum_{k<=n} v_{n-k} q_k,
 
     whose weights are built once: it is one :func:`poly_combination` of
     q_0..q_n, divided by n+1, and p_n = n! q_n.  Step n touches O(n^2)
@@ -200,14 +201,11 @@ def hb_higher_polys_recurrence(
         raise ValueError("order r must be >= 1")
     if numbers is None:
         numbers = hb_numbers(N, n_max + 1)
-    values = numbers.values
-    # weights[j] = -u_j weighs q_k in the step from q_{k+j}
-    weights = [Fraction(-r * N) * values[j + 1] / math.factorial(j + 1) for j in range(n_max)]
-    shift = Fraction(-r, N + 1)
+    v = _operator_weights(N, r, numbers.values)
     q = [UniPoly((1,))]
     for n in range(n_max):
         x_q = UniPoly.from_integers((0, *q[n].nums), q[n].den)
-        terms = [(1, x_q), (shift, q[n])] + [(weights[n - k], q[k]) for k in range(n)]
+        terms = [(1, x_q)] + [(v[n - k], q[k]) for k in range(n + 1)]
         q.append(poly_combination(terms) / (n + 1))
     polys = tuple(math.factorial(n) * p for n, p in enumerate(q))
     return HBPolyTable(N=N, r=r, polys=polys)
@@ -289,25 +287,28 @@ def a_poly_at_zero(N: int, r: int) -> APolyTable:
     return _a_table(N, r, keep_x=False)
 
 
+def _operator_weights(N: int, r: int, values) -> list[Fraction]:
+    """Weights v_j of the multiplicative operator M = x + sum_j v_j D^j from
+    the level-N numbers: v_0 = -r/(N+1), v_j = -r N B[N,j+1]/(j+1)! for
+    1 <= j <= len(values) - 2.  On the order-r table M p_n = p_{n+1}, so
+    M D p_n = n p_n is its ODE; and (F^r)'/F^r = sum_j v_j t^j."""
+    weights = (Fraction(-r * N) * b / math.factorial(k) for k, b in enumerate(values[2:], 2))
+    return [Fraction(-r, N + 1), *weights]
+
+
+def _apply_operator(p: UniPoly, weights) -> UniPoly:
+    """x p + sum_j v_j D^j p, by exact repeated differentiation."""
+    terms = [(1, UniPoly.from_integers((0, *p.nums), p.den))]
+    for v in weights:
+        terms.append((v, p))
+        p = poly_derivative(p)
+    return poly_combination(terms)
+
+
 def mult_operator_apply(table: HBPolyTable, n: int) -> UniPoly:
-    """Apply the multiplicative (index-raising) operator to table.polys[n].
-
-    The operator for index n is
-
-        (x - r/(N+1)) - r N sum_{j=1..n} B[N,j+1]/(j+1)! D_x^j
-
-    realized with exact repeated differentiation; the result must equal
-    table.polys[n+1], which the tests assert.
-    """
+    """The index-raising operator M of :func:`_operator_weights` applied to
+    table.polys[n]; the result must equal table.polys[n+1] (the tests assert it)."""
     if n < 0 or n >= len(table.polys):
         raise IndexError(f"index {n} not covered by table of size {len(table.polys)}")
-    N, r = table.N, table.r
-    values = hb_numbers(N, n + 1).values
-    p = table.polys[n]
-    shift = UniPoly((Fraction(-r, N + 1), Fraction(1)))
-    terms = [(1, shift * p)]
-    dp = p
-    for j in range(1, n + 1):
-        dp = poly_derivative(dp)
-        terms.append((Fraction(-r * N) * values[j + 1] / math.factorial(j + 1), dp))
-    return poly_combination(terms)
+    weights = _operator_weights(table.N, table.r, hb_numbers(table.N, n + 1).values)
+    return _apply_operator(table.polys[n], weights)

@@ -30,7 +30,6 @@ from .algebra import (
     UniPoly,
     _conv,
     _horner,
-    _integer_coeffs,
     bipoly_subst_s,
     format_coeffs,
     format_rational,
@@ -47,6 +46,8 @@ from .algebra import (
 from .core import (
     HBNumberTable,
     HBPolyTable,
+    _apply_operator,
+    _operator_weights,
     a_poly,
     a_poly_at_zero,
     hb_higher_polys_recurrence,
@@ -198,6 +199,16 @@ def _closed_form(N: int, r: int, n: int, entries, polys) -> UniPoly:
     )
 
 
+def _degree_excess(polys, n: int, sides) -> dict | None:
+    """The first polynomial past its bound in a grid or lattice proof's degree
+    premise (polys[i] <= i, each named side <= n) as a counterexample, or None."""
+    premises = [(f"B_{i}(x)", p, i) for i, p in enumerate(polys)]
+    for name, p, bound in premises + [(name, side, n) for name, side in sides]:
+        if len(p.nums) - 1 > bound:
+            return {"polynomial": name, "degree": p.degree, "bound": bound}
+    return None
+
+
 def _first_mismatch(polys, n: int, rows, sides):
     """Compare the multinomial sum of the values of polys[0..n] at each point
     of each row with every side polynomial at the point's coordinate sum, in
@@ -332,11 +343,11 @@ def check_sums_of_products(
     collapse to the single order-r polynomial at the summed point.  Both must
     equal the closed form with the bivariate coefficient polynomials.
 
-    grid mode evaluates the full integer grid {0..n}^r, a complete
-    certification since every variable occurs with degree <= n, one row of
-    n + 1 points per prefix in {0..n}^(r-1); sample mode
-    draws ``sample_count`` seeded rational points with numerator and
-    denominator bounded by 100 and records them for replay.
+    grid mode evaluates the full integer grid {0..n}^r, one row of n + 1
+    points per prefix in {0..n}^(r-1): a complete certification once each
+    B_i(x) has degree <= i and both other sides degree <= n, bounds checked
+    first in both modes.  sample mode draws ``sample_count`` seeded rational
+    points with numerator and denominator bounded by 100, kept for replay.
     """
     if n < r - 1:
         raise ValueError(f"identity requires n >= r-1 (got n={n}, r={r})")
@@ -368,6 +379,9 @@ def check_sums_of_products(
             "points": [[format_rational(c) for c in pt] for pt in points],
         }
         rows = ((pt[:-1], pt[-1:]) for pt in points)  # each point a row of its own
+    counter = _degree_excess(polys1, n, [("collapsed side", higher), ("closed form", rhs)])
+    if counter is not None:
+        return VerifyReport("sums", params, FAIL, 0, counterexample=counter, details=details)
     checked, mismatch = _first_mismatch(polys1, n, rows, sides)
     if mismatch is None:
         return VerifyReport("sums", params, PASS, checked, details=details)
@@ -398,8 +412,7 @@ def check_two_three_sums(N: int, n: int) -> VerifyReport:
     has degree <= n so is the right side; the lattice is unisolvent for total
     degree <= n (Chung & Yao, SIAM J. Numer. Anal. 14, 1977), so agreement on
     its C(n+f, f) points proves the identity.  Those degree bounds are
-    checked first: a polynomial past its bound fails the cell, with the
-    polynomial, its degree and the bound as the counterexample.
+    checked first, and a polynomial past its bound fails the cell.
     """
     if n < 1:
         raise ValueError(f"identity requires n >= 1 (got n={n})")
@@ -416,12 +429,10 @@ def check_two_three_sums(N: int, n: int) -> VerifyReport:
             + n * (n - 1) * (x_1 * x_2 * polys1[n - 2])
         )
 
-    premises = [(f"B_{i}(x)", p, i) for i, p in enumerate(polys1)]
-    premises += [(f"fold-{fold} closed form", cf, n) for fold, cf in closed_forms.items()]
-    for name, p, bound in premises:
-        if len(p.nums) - 1 > bound:
-            counter = {"polynomial": name, "degree": p.degree, "bound": bound}
-            return VerifyReport("two-three", params, FAIL, 0, counterexample=counter)
+    sides = [(f"fold-{fold} closed form", cf) for fold, cf in closed_forms.items()]
+    counter = _degree_excess(polys1, n, sides)
+    if counter is not None:
+        return VerifyReport("two-three", params, FAIL, 0, counterexample=counter)
 
     checked = 0
     for fold, closed_form in closed_forms.items():
@@ -446,24 +457,17 @@ def check_ode(N: int, r: int, n: int, numbers: HBNumberTable | None = None) -> V
 
         sum_{k=2..n} B[N,k]/k! y^(k) - (x/(rN) - 1/(N(N+1))) y' + (n/(rN)) y = 0
 
-    The residual is assembled as an exact polynomial and must vanish
-    identically.  A ``numbers`` table may be injected for fault testing.
+    that is, -(M y' - n y)/(rN) = 0 exactly, with the operator M that
+    ``mult_operator_apply`` runs and y from the series route.  A ``numbers``
+    table may be injected for fault testing.
     """
     if n < 1:
         raise ValueError(f"ODE check requires n >= 1 (got n={n})")
     params = {"N": N, "r": r, "n": n}
     values = (numbers or _table("hb_numbers", N, n)).values
     y = _table("hb_higher_polys_series", N, r, n).polys[n]
-
-    yp = poly_derivative(y)
-    # (x/(rN) - 1/(N(N+1))) y'
-    lin = UniPoly((Fraction(-1, N * (N + 1)), Fraction(1, r * N)))
-    terms = [(Fraction(n, r * N), y), (-1, lin * yp)]
-    dk = yp
-    for k in range(2, n + 1):
-        dk = poly_derivative(dk)
-        terms.append((values[k] / math.factorial(k), dk))
-    residual = poly_combination(terms)
+    m_yp = _apply_operator(poly_derivative(y), _operator_weights(N, r, values))
+    residual = poly_combination(((Fraction(-1, r * N), m_yp), (Fraction(n, r * N), y)))
 
     if residual.is_zero:
         return VerifyReport("ode", params, PASS, 1)
@@ -538,22 +542,16 @@ def check_logderiv(N: int, r: int, order: int) -> VerifyReport:
 
         A'/A = r ( -1/(N+1) - N sum_{m>=1} B[N,m+1]/(m+1) t^m/m! )
 
-    compared coefficientwise through the truncation order."""
+    compared coefficientwise through the truncation order; the right side
+    holds the multiplicative operator's weights, from the number recurrence."""
     if order < 1:
         raise ValueError(f"log-derivative check requires order >= 1 (got {order})")
     params = {"N": N, "r": r, "order": order}
     a = series_pow(series_invert(normalized_denominator(N, order + 1)), r)
     a_prime = PowerSeries.of(poly_derivative(a.poly), order)  # exact through t^order
     lhs = series_mul(a_prime, series_invert(series_truncate(a, order)))
-
-    b, d = _integer_coeffs(_table("hb_numbers", N, order + 1).values)
-    top = math.factorial(order + 1)
-    # over (N+1) (order+1)! d: -r/(N+1) at t^0, -r N B[N,m+1]/(m+1)! at t^m; B[N,j] = b[j]/d
-    nums = [-r * top * d] + [
-        -r * N * (N + 1) * (top // math.factorial(m + 1)) * b[m + 1] for m in range(1, order + 1)
-    ]
-    rhs = PowerSeries.of(UniPoly.from_integers(nums, (N + 1) * top * d), order)
-    return _series_report("logderiv", params, lhs, rhs)
+    weights = _operator_weights(N, r, _table("hb_numbers", N, order + 1).values)
+    return _series_report("logderiv", params, lhs, PowerSeries.of(UniPoly(weights), order))
 
 
 def check_appell_basics(N: int, r: int, n_max: int) -> VerifyReport:

@@ -1,3 +1,4 @@
+import itertools
 import math
 import sys
 from collections import Counter
@@ -324,6 +325,35 @@ def test_grid_failure_paths_are_pinned(monkeypatch, idx, coeff, call, cells, cou
     assert rep.counterexample == counter
 
 
+def _vanishing(top):
+    """x(x-1)...(x-top): zero at 0..top, of degree top + 1."""
+    p = UniPoly((1,))
+    for k in range(top + 1):
+        p = p * UniPoly((-k, 1))
+    return p
+
+
+@pytest.mark.parametrize("N,r,n,mode", [(1, 2, 3, "grid"), (2, 3, 6, "grid"), (1, 1, 5, "grid"),
+                                         (1, 2, 3, "sample")])
+def test_sums_checks_its_degree_premise(monkeypatch, N, r, n, mode):
+    # the collapsed side plus x(x-1)...(x-rn) has degree rn+1 and the right
+    # values at every coordinate sum of the grid, so it agrees with the other
+    # sides on every grid point; only the degree bound can reject it
+    exact = identities.hb_higher_polys_series
+
+    def inflated(N, r, top):
+        table = exact(N, r, top)
+        return replace(table, polys=table.polys[:top] + (table.polys[top] + _vanishing(r * top),))
+
+    monkeypatch.setattr(identities, "hb_higher_polys_series", inflated)
+    rep = check_sums_of_products(N, r, n, mode=mode)
+    assert rep.status == FAIL
+    assert rep.cells_checked == 0
+    assert rep.counterexample == {"polynomial": "collapsed side", "degree": r * n + 1, "bound": n}
+    assert rep.details["mode"] == mode
+    assert replay(rep)
+
+
 def test_sums_rhs_matches_two_fold_closed_form():
     # at order 2 the expansion collapses to the explicit two-fold form
     level, n = 3, 5
@@ -359,10 +389,7 @@ def test_two_three_checks_its_degree_premise(monkeypatch, n):
 
     def inflated(N, top):
         table = exact(N, top)
-        vanish = UniPoly((1,))
-        for k in range(top + 1):
-            vanish = vanish * UniPoly((-k, 1))
-        return replace(table, polys=table.polys[:top] + (table.polys[top] + vanish,))
+        return replace(table, polys=table.polys[:top] + (table.polys[top] + _vanishing(top),))
 
     monkeypatch.setattr(identities, "hb_polys", inflated)
     rep = check_two_three_sums(2, n)
@@ -688,6 +715,11 @@ _ROUTE_BREAKS = {
     "a_poly_at_zero": (_bump_a1, {"kamano"}),
     "poly_integral_weighted": (lambda v, p, N: v + 1, {"appell"}),
     "_closed_form": (lambda p, *args: p + _ONE, {"kamano", "sums"}),
+    "_operator_weights": (
+        lambda weights, N, r, values: _bump(weights, 3, 1),
+        {"appell", "logderiv", "ode", "recurrence"},
+    ),
+    "_apply_operator": (lambda p, q, weights: p + _ONE, {"ode"}),
 }
 
 
@@ -705,6 +737,22 @@ def test_every_route_matters(monkeypatch, route):
     failed = [rep for rep in reports if rep.status == FAIL]
     assert {rep.identity_name for rep in failed} == failing
     assert all(replay(rep) for rep in failed)
+
+
+@pytest.mark.parametrize("name", [name for name, suite in SUITES.items() if suite.requires])
+def test_requires_matches_the_checks_precondition(name):
+    # a suite's requires predicate and its check's ValueError state one
+    # precondition twice; over small cells they must agree
+    suite = SUITES[name]
+    check = getattr(identities, suite.check)
+    axes = {"N": (1,), "r": (1, 2, 3)}
+    for cell in itertools.product(*(axes.get(p, range(4)) for p in suite.params)):
+        try:
+            check(*cell)
+            raised = False
+        except ValueError:
+            raised = True
+        assert suite.requires(*cell) is not raised, cell
 
 
 def test_replay_of_passing_reports():
