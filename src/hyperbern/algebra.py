@@ -143,6 +143,7 @@ def _horner(nums, a: int, b: int) -> tuple[int, int]:
 # ---------------------------------------------------------------------------
 
 
+@dataclass(frozen=True, slots=True, init=False)
 class UniPoly:
     """Dense polynomial in one variable: ``nums[k] / den`` multiplies ``x**k``.
 
@@ -151,12 +152,11 @@ class UniPoly:
     ``()`` over 1.  So ``==`` and ``hash`` compare (nums, den).  The
     constructor takes ``int`` or ``Fraction`` coefficients and raises
     TypeError on anything else (a float or a string is not exact);
-    :meth:`from_integers` takes numerators and a denominator.  ``degree`` of
-    the zero polynomial is ``None`` (a sentinel, never -1 arithmetic).
-    Instances are immutable.
+    :meth:`from_integers` takes numerators and a denominator.  The operators
+    take the same exact scalars and another ``UniPoly``, and return
+    NotImplemented for anything else.  ``degree`` of the zero polynomial is
+    ``None`` (a sentinel, never -1 arithmetic).
     """
-
-    __slots__ = ("nums", "den")
 
     nums: tuple[int, ...]
     den: int
@@ -183,24 +183,9 @@ class UniPoly:
         object.__setattr__(p, "den", den // g)
         return p
 
-    def __setattr__(self, *args):
-        raise AttributeError("UniPoly is immutable")
-
-    __delattr__ = __setattr__
-
     def __reduce__(self):
+        # pickles by value through from_integers, the same on every Python version
         return UniPoly.from_integers, (self.nums, self.den)
-
-    def __repr__(self) -> str:
-        return f"UniPoly(nums={self.nums!r}, den={self.den!r})"
-
-    def __eq__(self, other) -> bool:
-        if type(other) is not UniPoly:
-            return NotImplemented
-        return self.den == other.den and self.nums == other.nums
-
-    def __hash__(self) -> int:
-        return hash((self.nums, self.den))
 
     @property
     def coeffs(self) -> tuple[Fraction, ...]:
@@ -216,9 +201,13 @@ class UniPoly:
         return len(self.nums) - 1 if self.nums else None
 
     def __add__(self, other: UniPoly) -> UniPoly:
+        if not isinstance(other, UniPoly):
+            return NotImplemented
         return poly_combination(((1, self), (1, other)))
 
     def __sub__(self, other: UniPoly) -> UniPoly:
+        if not isinstance(other, UniPoly):
+            return NotImplemented
         return poly_combination(((1, self), (-1, other)))
 
     def __neg__(self) -> UniPoly:
@@ -227,6 +216,8 @@ class UniPoly:
     def __mul__(self, other: UniPoly | RationalLike) -> UniPoly:
         if isinstance(other, UniPoly):
             return UniPoly.from_integers(_conv(self.nums, other.nums), self.den * other.den)
+        if not isinstance(other, (int, Fraction)):
+            return NotImplemented
         # cancel against den first, so that the reduction seldom has a factor left to divide out
         g = math.gcd(other.numerator, self.den)
         c = other.numerator // g
@@ -235,6 +226,8 @@ class UniPoly:
     __rmul__ = __mul__
 
     def __truediv__(self, other: RationalLike) -> UniPoly:
+        if not isinstance(other, (int, Fraction)):
+            return NotImplemented
         c, d = other.denominator, other.numerator
         if d < 0:
             c, d = -c, -d

@@ -35,12 +35,15 @@ from .identities import ALL_SUITES, FAIL, MODES, REPORT_PARAMS, SuiteConfig, Vac
 
 SCHEMA_VERSION = 1
 
-_VERIFY_COLUMNS = ("identity",) + REPORT_PARAMS + (
-    "status",
-    "cells_checked",
-    "details",
-    "counterexample",
-)
+# the CSV headers; polys and a substituted apoly write "n" or "i", then _coeff_columns
+_NUMBERS_COLUMNS = ("n", "value")
+_APOLY_MATRIX_COLUMNS = ("i", "x_pow", "s_pow", "value")
+_VERIFY_NOTES = ("details", "counterexample")  # JSON-encoded, empty for None
+_VERIFY_COLUMNS = ("identity",) + REPORT_PARAMS + ("status", "cells_checked") + _VERIFY_NOTES
+
+
+def _coeff_columns(width: int) -> list[str]:
+    return [f"c{k}" for k in range(width)]
 
 
 @dataclass(frozen=True)
@@ -96,95 +99,83 @@ def parse_json(text: str) -> OutputRecord:
 # ---------------------------------------------------------------------------
 
 
+def _csv_rows(record: OutputRecord):
+    """The record's CSV table: its header, then its rows."""
+    kind, payload = record.kind, record.payload
+    if kind == "numbers":
+        yield _NUMBERS_COLUMNS
+        for row in payload:
+            yield row["n"], row["value"]
+    elif kind == "apoly" and record.params.get("subst_s") is None:
+        yield _APOLY_MATRIX_COLUMNS
+        for row in payload:
+            for x_pow, s_row in enumerate(row["coeffs_xs"]):
+                for s_pow, value in enumerate(s_row):
+                    yield row["i"], x_pow, s_pow, value
+    elif kind in ("polys", "apoly"):  # one row of coefficients per index
+        index = "n" if kind == "polys" else "i"
+        width = max((len(r["coeffs"]) for r in payload), default=1)
+        yield [index] + _coeff_columns(width)
+        for row in payload:
+            yield [row[index]] + list(row["coeffs"])
+    elif kind == "verify":
+        yield _VERIFY_COLUMNS
+        for row in payload:
+            params, notes = row["params"], (row.get(key) for key in _VERIFY_NOTES)
+            yield (
+                row["identity"],
+                *("" if params.get(key) is None else params[key] for key in REPORT_PARAMS),
+                row["status"],
+                row["cells_checked"],
+                *("" if v is None else json.dumps(v, separators=(",", ":")) for v in notes),
+            )
+    else:
+        raise ValueError(f"unknown record kind {kind!r}")
+
+
 def render_csv(record: OutputRecord, out, with_meta: bool = True) -> None:
     buf = io.StringIO()  # one write: on an unbuffered stdout each row would be a system call
     if with_meta:
         for key, value in _meta().items():
             buf.write(f"# {key}: {value}\n")
-    writer = csv.writer(buf, lineterminator="\n")
-    kind = record.kind
-    if kind == "numbers":
-        writer.writerow(["n", "value"])
-        for row in record.payload:
-            writer.writerow([row["n"], row["value"]])
-    elif kind == "apoly" and record.params.get("subst_s") is None:
-        writer.writerow(["i", "x_pow", "s_pow", "value"])
-        for row in record.payload:
-            for x_pow, s_row in enumerate(row["coeffs_xs"]):
-                for s_pow, value in enumerate(s_row):
-                    writer.writerow([row["i"], x_pow, s_pow, value])
-    elif kind in ("polys", "apoly"):  # one row of coefficients per index
-        index = "n" if kind == "polys" else "i"
-        width = max((len(r["coeffs"]) for r in record.payload), default=1)
-        writer.writerow([index] + [f"c{k}" for k in range(width)])
-        for row in record.payload:
-            writer.writerow([row[index]] + list(row["coeffs"]))
-    elif kind == "verify":
-        writer.writerow(_VERIFY_COLUMNS)
-        for row in record.payload:
-            cells = [row["identity"]]
-            for key in REPORT_PARAMS:
-                v = row["params"].get(key)
-                cells.append("" if v is None else v)
-            cells.append(row["status"])
-            cells.append(row["cells_checked"])
-            for key in ("details", "counterexample"):
-                v = row.get(key)
-                cells.append("" if v is None else json.dumps(v, separators=(",", ":")))
-            writer.writerow(cells)
-    else:
-        raise ValueError(f"unknown record kind {kind!r}")
+    csv.writer(buf, lineterminator="\n").writerows(_csv_rows(record))
     out.write(buf.getvalue())
 
 
-def parse_csv(text: str, kind: str, subst_s: bool = False) -> list:
-    """Recover the payload rows from a CSV rendering of the given kind."""
+def parse_csv(text: str) -> list:
+    """Recover the payload rows from a CSV rendering; its header names the layout."""
     lines = [ln for ln in text.splitlines() if ln and not ln.startswith("#")]
-    rows = list(csv.reader(lines))
-    header, rows = rows[0], rows[1:]
-    if kind == "numbers":
-        return [{"n": int(r[0]), "value": r[1]} for r in rows]
-    if kind == "polys" or (kind == "apoly" and subst_s):  # the index column, then coefficients
+    header, *rows = csv.reader(lines)
+    if tuple(header) == _NUMBERS_COLUMNS:
+        return [{"n": int(n), "value": value} for n, value in rows]
+    if header[0] in ("n", "i") and header[1:] == _coeff_columns(max(len(header) - 1, 1)):
+        # polys, or apoly with s substituted: the index column, then c0 (at least), c1, ...
         return [{header[0]: int(r[0]), "coeffs": r[1:]} for r in rows]
-    if kind == "apoly":
+    if tuple(header) == _APOLY_MATRIX_COLUMNS:
         matrices: dict[int, dict[tuple[int, int], str]] = {}
-        for r in rows:
-            matrices.setdefault(int(r[0]), {})[(int(r[1]), int(r[2]))] = r[3]
+        for i, x_pow, s_pow, value in rows:
+            matrices.setdefault(int(i), {})[int(x_pow), int(s_pow)] = value
         payload = []
-        for i in sorted(matrices):
-            cells = matrices[i]
-            nx = 1 + max(x for x, _ in cells)
-            ns = 1 + max(s for _, s in cells)
-            payload.append(
-                {
-                    "i": i,
-                    "coeffs_xs": [
-                        [cells.get((x, s), "0") for s in range(ns)] for x in range(nx)
-                    ],
-                }
-            )
+        for i, cells in sorted(matrices.items()):
+            nx, ns = (1 + max(axis) for axis in zip(*cells))
+            coeffs_xs = [[cells.get((x, s), "0") for s in range(ns)] for x in range(nx)]
+            payload.append({"i": i, "coeffs_xs": coeffs_xs})
         return payload
-    if kind == "verify":
+    if tuple(header) == _VERIFY_COLUMNS:
         payload = []
         for r in rows:
             cells = dict(zip(header, r))
-            params = {
-                key: int(cells[key]) for key in REPORT_PARAMS if cells.get(key)
-            }
             payload.append(
                 {
                     "identity": cells["identity"],
-                    "params": params,
+                    "params": {key: int(cells[key]) for key in REPORT_PARAMS if cells[key]},
                     "status": cells["status"],
                     "cells_checked": int(cells["cells_checked"]),
-                    "counterexample": json.loads(cells["counterexample"])
-                    if cells.get("counterexample")
-                    else None,
-                    "details": json.loads(cells["details"]) if cells.get("details") else None,
+                    **{k: json.loads(cells[k]) if cells[k] else None for k in _VERIFY_NOTES},
                 }
             )
         return payload
-    raise ValueError(f"unknown record kind {kind!r}")
+    raise ValueError(f"unknown CSV header {header!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -260,6 +251,11 @@ def _emit(record: OutputRecord, fmt: str, output: str | None, no_meta: bool) -> 
             os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
 
 
+# the options the table commands share
+_level_option = click.option("--N", "level", type=click.IntRange(min=1), required=True, help="Level N >= 1.")
+_max_n_option = click.option("--max-n", type=click.IntRange(min=0), required=True, help="Largest index n.")
+
+
 @click.group()
 @click.version_option(version=__version__, prog_name="hyperbern")
 def cli():
@@ -267,8 +263,8 @@ def cli():
 
 
 @cli.command()
-@click.option("--N", "level", type=click.IntRange(min=1), required=True, help="Level N >= 1.")
-@click.option("--max-n", type=click.IntRange(min=0), required=True, help="Largest index n.")
+@_level_option
+@_max_n_option
 @_output_options("csv")
 def numbers(level, max_n, fmt, output, no_meta):
     """Numbers B[N,n] for n = 0..max-n, as exact reduced rationals."""
@@ -279,9 +275,9 @@ def numbers(level, max_n, fmt, output, no_meta):
 
 
 @cli.command()
-@click.option("--N", "level", type=click.IntRange(min=1), required=True, help="Level N >= 1.")
+@_level_option
 @click.option("--r", "order_r", type=click.IntRange(min=1), default=1, show_default=True, help="Order r >= 1.")
-@click.option("--max-n", type=click.IntRange(min=0), required=True, help="Largest index n.")
+@_max_n_option
 @_output_options("csv")
 def polys(level, order_r, max_n, fmt, output, no_meta):
     """Polynomial tables, one row per index with ascending coefficients."""
@@ -296,7 +292,7 @@ def polys(level, order_r, max_n, fmt, output, no_meta):
 
 
 @cli.command()
-@click.option("--N", "level", type=click.IntRange(min=1), required=True, help="Level N >= 1.")
+@_level_option
 @click.option("--r", "order_r", type=click.IntRange(min=1), required=True, help="Order r >= 1.")
 @click.option(
     "--subst-s",
@@ -328,16 +324,13 @@ def apoly(level, order_r, subst_s, fmt, output, no_meta):
 
 
 def _parse_fault(_ctx, _param, value):
+    # the syntax only: SuiteConfig rules on the pair
     if value is None:
         return None
     try:
-        level_str, k_str = value.split(",")
-        level, k = int(level_str), int(k_str)
+        return tuple(int(part) for part in value.split(","))
     except ValueError:
-        raise click.BadParameter('expected "N,k" with integers N >= 1, k >= 2')
-    if level < 1 or k < 2:
-        raise click.BadParameter('expected "N,k" with integers N >= 1, k >= 2')
-    return (level, k)
+        raise click.BadParameter('expected "N,k" with integers N and k')
 
 
 @cli.command()
@@ -354,12 +347,12 @@ def _parse_fault(_ctx, _param, value):
 @click.option(
     "--mode",
     type=click.Choice(MODES),
-    default="auto",
+    default=SuiteConfig.mode,
     show_default=True,
     help="Point strategy for the polynomial sums-of-products family.",
 )
-@click.option("--seed", type=int, default=42, show_default=True)
-@click.option("--sample-count", type=click.IntRange(min=1), default=64, show_default=True)
+@click.option("--seed", type=int, default=SuiteConfig.seed, show_default=True)
+@click.option("--sample-count", type=click.IntRange(min=1), default=SuiteConfig.sample_count, show_default=True)
 @click.option(
     "--inject-fault",
     callback=_parse_fault,
@@ -369,8 +362,12 @@ def _parse_fault(_ctx, _param, value):
 @_output_options("json")
 def verify(suites, fmt, output, no_meta, **fields):
     """Certify identities over parameter ranges; exit 1 on any failed cell."""
-    # every other option is named after the SuiteConfig field it sets
-    config = SuiteConfig(suites=tuple(suites) or ALL_SUITES, **fields)
+    # every other option is named after the SuiteConfig field it sets; only the
+    # construction is guarded, so a ValueError inside a check stays a crash
+    try:
+        config = SuiteConfig(suites=tuple(suites) or SuiteConfig.suites, **fields)
+    except ValueError as exc:
+        raise click.UsageError(str(exc))
     try:
         reports = run_suite(config)
     except VacuousRun as exc:

@@ -692,8 +692,8 @@ class SuiteConfig:
     table size for the table-wide checks.  mode applies to the polynomial
     sums-of-products family: "auto" picks the exhaustive grid whenever it has
     at most ``GRID_POINT_LIMIT`` points and sampling otherwise.
-    ``inject_fault`` (N, k), with N >= 1 and k >= 2, bumps B[N,k] by +1 in
-    the number tables of the injectable suites.
+    ``inject_fault``, a pair of ints (N, k) with N >= 1 and k >= 2, bumps
+    B[N,k] by +1 in the number tables of the injectable suites.
     """
 
     suites: tuple[str, ...] = ALL_SUITES
@@ -725,8 +725,9 @@ class SuiteConfig:
         # level 0 is out of domain and perturbed_numbers bumps only k >= 2;
         # reject the pair here rather than midway through the run
         fault = self.inject_fault
-        if fault is not None and (fault[0] < 1 or fault[1] < 2):
-            raise ValueError("inject_fault (N, k) needs N >= 1 and k >= 2")
+        pair = isinstance(fault, tuple) and [type(v) for v in fault] == [int, int]
+        if fault is not None and not (pair and fault[0] >= 1 and fault[1] >= 2):
+            raise ValueError("inject_fault (N, k) needs a pair of ints with N >= 1 and k >= 2")
 
 
 def _cells(suite: Suite, cfg: SuiteConfig):

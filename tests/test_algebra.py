@@ -220,6 +220,31 @@ def test_unipoly_is_immutable_and_round_trips():
         UniPoly.from_integers((1, 2), 0)
 
 
+@pytest.mark.parametrize(
+    "op",
+    [
+        lambda p: p * 0.5,
+        lambda p: 0.5 * p,
+        lambda p: p / 0.5,
+        lambda p: p + 1,
+        lambda p: 1 + p,
+        lambda p: p - Fraction(1, 2),
+        lambda p: p * "2",
+    ],
+)
+def test_unipoly_operators_refuse_inexact_operands(op):
+    # like the constructors: a float, a bare scalar sum or a string is a TypeError
+    with pytest.raises(TypeError):
+        op(UniPoly((1, 2)))
+
+
+def test_unipoly_operators_take_exact_scalars():
+    p = UniPoly((1, 2))
+    assert p * 2 == 2 * p == UniPoly((2, 4))
+    assert p / 3 == UniPoly((Fraction(1, 3), Fraction(2, 3)))
+    assert p * Fraction(1, 3) == p / 3
+
+
 # --- bivariate polynomials -------------------------------------------------
 
 

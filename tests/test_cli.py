@@ -196,6 +196,39 @@ def test_verify_rejects_malformed_fault(runner):
     assert res.exit_code == 2
 
 
+@pytest.mark.parametrize("fault", ["1,2,3", "1", "0,2"])
+def test_verify_fault_outside_suite_config_domain_is_a_usage_error(runner, fault):
+    # the CLI splits "N,k"; SuiteConfig alone rules on the pair (for "1,1" see above)
+    res = invoke(runner, "verify", "--suite", "kamano", "--inject-fault", fault, "--no-meta")
+    assert res.exit_code == 2
+    assert res.output.startswith("Usage:")
+
+
+def test_verify_value_error_inside_a_check_is_not_a_usage_error(runner, monkeypatch):
+    # only building the SuiteConfig is read as a usage error
+    from hyperbern import identities
+
+    def broken(*args, **kwargs):
+        raise ValueError("broken check")
+
+    monkeypatch.setattr(identities, "check_kamano", broken)
+    res = invoke(runner, "verify", "--suite", "kamano", "--N-max", "1", "--no-meta")
+    assert res.exit_code == 1
+    assert isinstance(res.exception, ValueError) and str(res.exception) == "broken check"
+
+
+def test_verify_help_shows_suite_config_defaults(runner):
+    from hyperbern import SuiteConfig
+
+    res = invoke(runner, "verify", "--help")
+    assert res.exit_code == 0
+    text = " ".join(res.output.split())  # help lines wrap at the terminal width
+    assert f"[default: {SuiteConfig.mode}]" in text
+    assert f"[default: {SuiteConfig.seed}]" in text
+    assert f"[default: {SuiteConfig.sample_count}; x>=1]" in text
+    assert (SuiteConfig.mode, SuiteConfig.seed, SuiteConfig.sample_count) == ("auto", 42, 64)
+
+
 @pytest.mark.parametrize(
     "args",
     [
@@ -249,7 +282,7 @@ def test_verify_csv_and_json_same_content(runner):
     as_json = invoke(runner, *args, "--format", "json")
     as_csv = invoke(runner, *args, "--format", "csv")
     payload_json = parse_json(as_json.output).payload
-    payload_csv = parse_csv(as_csv.output, "verify")
+    payload_csv = parse_csv(as_csv.output)
     assert payload_csv == payload_json
 
 
@@ -374,14 +407,14 @@ def test_csv_json_content_identical(runner, args, kind):
     as_json = invoke(runner, *args, "--format", "json", "--no-meta")
     as_csv = invoke(runner, *args, "--format", "csv", "--no-meta")
     record = parse_json(as_json.output)
-    assert parse_csv(as_csv.output, kind) == record.payload
+    assert parse_csv(as_csv.output) == record.payload
 
 
 def test_apoly_subst_csv_round_trip(runner):
     res_json = invoke(runner, "apoly", "--N", "1", "--r", "3", "--subst-s", "1/3", "--format", "json")
     res_csv = invoke(runner, "apoly", "--N", "1", "--r", "3", "--subst-s", "1/3", "--format", "csv")
     record = parse_json(res_json.output)
-    assert parse_csv(res_csv.output, "apoly", subst_s=True) == record.payload
+    assert parse_csv(res_csv.output) == record.payload
 
 
 def test_record_round_trip_all_kinds():
@@ -407,8 +440,31 @@ def test_record_round_trip_all_kinds():
     for record in records:
         assert parse_json(rendered(render_json, record)) == record
         assert parse_json(rendered(render_json, record, with_meta=False)) == record
-        subst = record.kind == "apoly" and record.params.get("subst_s") is not None
-        assert parse_csv(rendered(render_csv, record), record.kind, subst_s=subst) == record.payload
+        assert parse_csv(rendered(render_csv, record)) == record.payload
+
+
+def test_apoly_matrix_with_zero_entries_round_trips():
+    # explicit zero cells, a zero entry and rows padded to a common width
+    record = OutputRecord(
+        "apoly",
+        {"N": 1, "r": 3, "subst_s": None},
+        [
+            {"i": 0, "coeffs_xs": [["0"]]},
+            {"i": 1, "coeffs_xs": [["1", "0"], ["0", "-1/2"]]},
+            {"i": 2, "coeffs_xs": [["0", "0", "3"]]},
+        ],
+    )
+    text = rendered(render_csv, record, with_meta=False)
+    assert text.splitlines()[:2] == ["i,x_pow,s_pow,value", "0,0,0,0"]
+    assert parse_csv(text) == record.payload
+
+
+@pytest.mark.parametrize(
+    "header", ["", "n", "n,values", "i,x_pow,value", "n,c1", "k,c0", "identity,status"]
+)
+def test_parse_csv_rejects_an_unknown_header(header):
+    with pytest.raises(ValueError):
+        parse_csv(header + "\n1,2\n")
 
 
 def test_meta_header_toggle(runner):

@@ -612,7 +612,7 @@ def test_suite_empty_level_range():
         SuiteConfig(r_max=0)
 
 
-@pytest.mark.parametrize("fault", [(1, 1), (1, 0), (0, 2), (-1, 3)])
+@pytest.mark.parametrize("fault", [(1, 1), (1, 0), (0, 2), (-1, 3), (1,), (1, 2, 3), (1.0, 2)])
 def test_suite_rejects_out_of_domain_fault(fault):
     # rejected when the config is made, before any cell runs
     with pytest.raises(ValueError, match="inject_fault"):
