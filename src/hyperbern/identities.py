@@ -8,9 +8,13 @@ variable) or on the principal lattice (total degree d needs the nonnegative
 integer points with coordinate sum at most d), or by seeded random rational
 sample points when the grid would be too large to be worth exhausting.
 
-Checks return :class:`VerifyReport` records; :func:`run_suite` drives them
-over parameter ranges deterministically, recording precondition violations
-as skipped cells (never as passes).
+Each identity is one row of :data:`SUITES`, the one statement of its check,
+cell layout and precondition: a check called directly on a cell below its
+row's ``requires`` raises ``ValueError`` naming the suite, the reason and the
+cell.  Checks return :class:`VerifyReport` records; :func:`run_suite` drives
+them over parameter ranges deterministically, recording precondition
+violations as skipped cells (never as passes).  :class:`SuiteConfig` states
+a run's defaults, which the checks called directly share.
 """
 
 from __future__ import annotations
@@ -76,8 +80,6 @@ __all__ = [
     "check_appell_basics",
     "run_suite",
     "VacuousRun",
-    "UnreadFault",
-    "EmptySuite",
     "replay",
     "perturbed_numbers",
 ]
@@ -106,6 +108,137 @@ class VerifyReport:
     cells_checked: int
     counterexample: dict | None = None
     details: dict | None = None
+
+
+# ---------------------------------------------------------------------------
+# suite registry
+# ---------------------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class Suite:
+    """One row of the suite registry: how a suite's cells are laid out,
+    defaulted, skipped and run.
+
+    ``params`` names the check's positional arguments in report order, ``N``
+    first and the index last: ``n`` ranges over 0..top with one cell per
+    index, while ``n_max`` and ``order`` size a whole table or series, one
+    cell per (N, r).
+    ``desk`` holds the default tops of (N, r, index), r being None for suites
+    without an order.  A cell failing ``requires`` is reported as skipped with
+    ``skip_reason``, and its check called directly raises ``ValueError``
+    through :func:`_require`.
+    """
+
+    name: str
+    check: str  # name of the module-level check function
+    params: tuple[str, ...]
+    desk: tuple[int, int | None, int]
+    requires: Callable[..., bool] | None = None
+    skip_reason: str | None = None
+    injectable: bool = False  # the check takes an injected ``numbers`` table
+    sampled: bool = False  # the check takes mode, sample_count and seed
+    desk_cells: tuple[tuple[int, ...], ...] | None = None  # replaces the desk grid
+
+
+# the sums desk set is the union of two grids: orders up to 3 at small n, and
+# order 4 further out
+_SUMS_DESK_CELLS = tuple(
+    [(N, r, n) for N in range(1, 4) for r in range(1, 4) for n in range(11)]
+    + [(N, 4, n) for N in range(1, 5) for n in range(17)]
+)
+
+SUITES = {
+    suite.name: suite
+    for suite in (
+        Suite("kamano", "check_kamano", ("N", "r", "n"), (4, 4, 24),
+              lambda N, r, n: n >= r - 1, "requires n >= r-1"),
+        Suite("sums", "check_sums_of_products", ("N", "r", "n"), (4, 4, 16),
+              lambda N, r, n: n >= r - 1, "requires n >= r-1",
+              sampled=True, desk_cells=_SUMS_DESK_CELLS),
+        Suite("two-three", "check_two_three_sums", ("N", "n"), (4, None, 20),
+              lambda N, n: n >= 1, "requires n >= 1"),
+        Suite("ode", "check_ode", ("N", "r", "n"), (4, 3, 15),
+              lambda N, r, n: n >= 1, "requires n >= 1", injectable=True),
+        Suite("recurrence", "check_recurrence_paths", ("N", "r", "n_max"), (4, 4, 30),
+              injectable=True),
+        Suite("genfun-ode", "check_genfun_ode", ("N", "order"), (5, None, 30),
+              lambda N, order: order >= 2, "requires order >= 2"),
+        Suite("logderiv", "check_logderiv", ("N", "r", "order"), (4, 3, 30),
+              lambda N, r, order: order >= 1, "requires order >= 1"),
+        Suite("appell", "check_appell_basics", ("N", "r", "n_max"), (5, 3, 20)),
+    )
+}
+
+ALL_SUITES = tuple(SUITES)
+
+# point strategies for the sums family; "auto" picks grid or sample per cell
+MODES = ("auto", "grid", "sample")
+
+# every parameter a report can carry, in column order
+REPORT_PARAMS = tuple(dict.fromkeys(p for suite in SUITES.values() for p in suite.params))
+
+
+@dataclass(frozen=True)
+class SuiteConfig:
+    """Parameter ranges and sampling policy for :func:`run_suite`.
+
+    ``N_max``, ``r_max`` and ``n_max`` override the per-suite desk defaults
+    (which mirror the ranges certified by the acceptance tests); ``n_max``
+    doubles as the truncation order for the series-based checks and as the
+    table size for the table-wide checks.  Each of them, ``seed`` and
+    ``sample_count`` is an int (not a bool).  mode, seed and sample_count
+    are passed to the polynomial sums-of-products check, which resolves
+    "auto" per cell (see :func:`check_sums_of_products`) and takes these
+    defaults as its own.  ``inject_fault``, a pair of ints (N, k) with
+    N >= 1 and k >= 2, bumps B[N,k] by +1 in the number table of each cell
+    that reads it (see :func:`_reads_fault`).
+    """
+
+    suites: tuple[str, ...] = ALL_SUITES
+    N_max: int | None = None
+    r_max: int | None = None
+    n_max: int | None = None
+    mode: str = "auto"
+    seed: int = 42
+    sample_count: int = 64
+    inject_fault: tuple[int, int] | None = None
+
+    def __post_init__(self) -> None:
+        # a suite named twice runs once
+        object.__setattr__(self, "suites", tuple(dict.fromkeys(self.suites)))
+        unknown = set(self.suites) - set(ALL_SUITES)
+        if unknown:
+            raise ValueError(f"unknown suites: {sorted(unknown)}")
+        if not self.suites:
+            raise ValueError("no suite selected")
+        if self.mode not in MODES:
+            raise ValueError(f"unknown mode {self.mode!r}")
+        # each is an int (a bool is not), a range top possibly None; level 0 and
+        # order 0 are out of domain, and a range over them checks nothing, as
+        # does a sample of no points
+        bounds = ("N_max", 1), ("r_max", 1), ("n_max", 0), ("sample_count", 1), ("seed", None)
+        for name, low in bounds:
+            v = getattr(self, name)
+            if not (type(v) is int or v is None and name.endswith("_max")):
+                raise ValueError(f"{name} must be an int")
+            if None not in (v, low) and v < low:
+                raise ValueError(f"{name} must be >= {low}")
+        # level 0 is out of domain and perturbed_numbers bumps only k >= 2;
+        # reject the pair here rather than midway through the run
+        fault = self.inject_fault
+        pair = isinstance(fault, tuple) and [type(v) for v in fault] == [int, int]
+        if fault is not None and not (pair and fault[0] >= 1 and fault[1] >= 2):
+            raise ValueError("inject_fault (N, k) needs a pair of ints with N >= 1 and k >= 2")
+
+
+def _require(name: str, *cell) -> None:
+    """Raise ``ValueError`` unless the cell meets the ``requires`` of its
+    suite's row; each check states its precondition through this call."""
+    suite = SUITES[name]
+    if not suite.requires(*cell):
+        got = ", ".join(f"{p}={v}" for p, v in zip(suite.params, cell))
+        raise ValueError(f"{name} {suite.skip_reason} (got {got})")
 
 
 # ---------------------------------------------------------------------------
@@ -311,8 +444,7 @@ def check_kamano(N: int, r: int, n: int) -> VerifyReport:
     number sequences against its closed form with x-free coefficient
     polynomials, after Kamano, "Sums of products of hypergeometric Bernoulli
     numbers" (J. Number Theory 130, 2010).  Requires n >= r-1."""
-    if n < r - 1:
-        raise ValueError(f"identity requires n >= r-1 (got n={n}, r={r})")
+    _require("kamano", N, r, n)
     params = {"N": N, "r": r, "n": n}
     # the numbers as constant polynomials, so the convolution runs on integers
     # and the closed form is the polynomial one taken at x = 0
@@ -332,9 +464,9 @@ def check_sums_of_products(
     N: int,
     r: int,
     n: int,
-    mode: str = "grid",
-    sample_count: int = 64,
-    seed: int = 42,
+    mode: str = SuiteConfig.mode,
+    sample_count: int = SuiteConfig.sample_count,
+    seed: int = SuiteConfig.seed,
 ) -> VerifyReport:
     """Polynomial sums-of-products identity at one (N, r, n) cell.
 
@@ -348,11 +480,16 @@ def check_sums_of_products(
     B_i(x) has degree <= i and both other sides degree <= n, bounds checked
     first in both modes.  sample mode draws ``sample_count`` seeded rational
     points with numerator and denominator bounded by 100, kept for replay.
+    auto mode, :class:`SuiteConfig`'s default like ``sample_count`` and
+    ``seed``, takes the grid when it has at most ``GRID_POINT_LIMIT`` points
+    and samples otherwise, so a call with the defaults gives the report that
+    :func:`run_suite` gives for the cell.  The report records the mode taken.
     """
-    if n < r - 1:
-        raise ValueError(f"identity requires n >= r-1 (got n={n}, r={r})")
-    if mode not in ("grid", "sample"):
+    _require("sums", N, r, n)
+    if mode not in MODES:
         raise ValueError(f"unknown mode {mode!r}")
+    if mode == "auto":
+        mode = "grid" if (n + 1) ** r <= GRID_POINT_LIMIT else "sample"
     if sample_count < 1:
         raise ValueError("sample_count must be positive")
     params = {"N": N, "r": r, "n": n}
@@ -414,8 +551,7 @@ def check_two_three_sums(N: int, n: int) -> VerifyReport:
     its C(n+f, f) points proves the identity.  Those degree bounds are
     checked first, and a polynomial past its bound fails the cell.
     """
-    if n < 1:
-        raise ValueError(f"identity requires n >= 1 (got n={n})")
+    _require("two-three", N, n)
     params = {"N": N, "n": n}
     polys1 = _table("hb_polys", N, n).polys
 
@@ -461,8 +597,7 @@ def check_ode(N: int, r: int, n: int, numbers: HBNumberTable | None = None) -> V
     ``mult_operator_apply`` runs and y from the series route.  A ``numbers``
     table may be injected for fault testing.
     """
-    if n < 1:
-        raise ValueError(f"ODE check requires n >= 1 (got n={n})")
+    _require("ode", N, r, n)
     params = {"N": N, "r": r, "n": n}
     values = (numbers or _table("hb_numbers", N, n)).values
     y = _table("hb_higher_polys_series", N, r, n).polys[n]
@@ -527,8 +662,7 @@ def check_genfun_ode(N: int, order: int) -> VerifyReport:
         t F' = N F - t F - N F^2
 
     verified coefficientwise through the truncation order."""
-    if order < 2:
-        raise ValueError(f"generating-function ODE check requires order >= 2 (got {order})")
+    _require("genfun-ode", N, order)
     params = {"N": N, "order": order}
     f = series_invert(normalized_denominator(N, order))
     F, t = f.poly, UniPoly((0, 1))
@@ -544,8 +678,7 @@ def check_logderiv(N: int, r: int, order: int) -> VerifyReport:
 
     compared coefficientwise through the truncation order; the right side
     holds the multiplicative operator's weights, from the number recurrence."""
-    if order < 1:
-        raise ValueError(f"log-derivative check requires order >= 1 (got {order})")
+    _require("logderiv", N, r, order)
     params = {"N": N, "r": r, "order": order}
     a = series_pow(series_invert(normalized_denominator(N, order + 1)), r)
     a_prime = PowerSeries.of(poly_derivative(a.poly), order)  # exact through t^order
@@ -619,117 +752,6 @@ def check_appell_basics(N: int, r: int, n_max: int) -> VerifyReport:
 # suite driver
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class Suite:
-    """One row of the suite registry: how a suite's cells are laid out,
-    defaulted, skipped and run.
-
-    ``params`` names the check's positional arguments in report order, ``N``
-    first and the index last: ``n`` ranges over 0..top with one cell per
-    index, while ``n_max`` and ``order`` size a whole table or series, one
-    cell per (N, r).
-    ``desk`` holds the default tops of (N, r, index), r being None for suites
-    without an order.  A cell failing ``requires`` is reported as skipped with
-    ``skip_reason``.
-    """
-
-    name: str
-    check: str  # name of the module-level check function
-    params: tuple[str, ...]
-    desk: tuple[int, int | None, int]
-    requires: Callable[..., bool] | None = None
-    skip_reason: str | None = None
-    injectable: bool = False  # the check takes an injected ``numbers`` table
-    sampled: bool = False  # the check takes mode, sample_count and seed
-    desk_cells: tuple[tuple[int, ...], ...] | None = None  # replaces the desk grid
-
-
-# the sums desk set is the union of two grids: orders up to 3 at small n, and
-# order 4 further out
-_SUMS_DESK_CELLS = tuple(
-    [(N, r, n) for N in range(1, 4) for r in range(1, 4) for n in range(11)]
-    + [(N, 4, n) for N in range(1, 5) for n in range(17)]
-)
-
-SUITES = {
-    suite.name: suite
-    for suite in (
-        Suite("kamano", "check_kamano", ("N", "r", "n"), (4, 4, 24),
-              lambda N, r, n: n >= r - 1, "requires n >= r-1"),
-        Suite("sums", "check_sums_of_products", ("N", "r", "n"), (4, 4, 16),
-              lambda N, r, n: n >= r - 1, "requires n >= r-1",
-              sampled=True, desk_cells=_SUMS_DESK_CELLS),
-        Suite("two-three", "check_two_three_sums", ("N", "n"), (4, None, 20),
-              lambda N, n: n >= 1, "requires n >= 1"),
-        Suite("ode", "check_ode", ("N", "r", "n"), (4, 3, 15),
-              lambda N, r, n: n >= 1, "requires n >= 1", injectable=True),
-        Suite("recurrence", "check_recurrence_paths", ("N", "r", "n_max"), (4, 4, 30),
-              injectable=True),
-        Suite("genfun-ode", "check_genfun_ode", ("N", "order"), (5, None, 30),
-              lambda N, order: order >= 2, "requires order >= 2"),
-        Suite("logderiv", "check_logderiv", ("N", "r", "order"), (4, 3, 30),
-              lambda N, r, order: order >= 1, "requires order >= 1"),
-        Suite("appell", "check_appell_basics", ("N", "r", "n_max"), (5, 3, 20)),
-    )
-}
-
-ALL_SUITES = tuple(SUITES)
-
-# point strategies for the sums family; "auto" picks grid or sample per cell
-MODES = ("auto", "grid", "sample")
-
-# every parameter a report can carry, in column order
-REPORT_PARAMS = tuple(dict.fromkeys(p for suite in SUITES.values() for p in suite.params))
-
-
-@dataclass(frozen=True)
-class SuiteConfig:
-    """Parameter ranges and sampling policy for :func:`run_suite`.
-
-    ``N_max``, ``r_max`` and ``n_max`` override the per-suite desk defaults
-    (which mirror the ranges certified by the acceptance tests); ``n_max``
-    doubles as the truncation order for the series-based checks and as the
-    table size for the table-wide checks.  mode applies to the polynomial
-    sums-of-products family: "auto" picks the exhaustive grid whenever it has
-    at most ``GRID_POINT_LIMIT`` points and sampling otherwise.
-    ``inject_fault``, a pair of ints (N, k) with N >= 1 and k >= 2, bumps
-    B[N,k] by +1 in the number tables of the injectable suites.
-    """
-
-    suites: tuple[str, ...] = ALL_SUITES
-    N_max: int | None = None
-    r_max: int | None = None
-    n_max: int | None = None
-    mode: str = "auto"
-    seed: int = 42
-    sample_count: int = 64
-    inject_fault: tuple[int, int] | None = None
-
-    def __post_init__(self) -> None:
-        # a suite named twice runs once
-        object.__setattr__(self, "suites", tuple(dict.fromkeys(self.suites)))
-        unknown = set(self.suites) - set(ALL_SUITES)
-        if unknown:
-            raise ValueError(f"unknown suites: {sorted(unknown)}")
-        if not self.suites:
-            raise ValueError("no suite selected")
-        if self.mode not in MODES:
-            raise ValueError(f"unknown mode {self.mode!r}")
-        # level 0 and order 0 are out of domain: a range over them checks nothing
-        for name, low in (("N_max", 1), ("r_max", 1), ("n_max", 0)):
-            v = getattr(self, name)
-            if v is not None and v < low:
-                raise ValueError(f"{name} must be >= {low}")
-        if self.sample_count < 1:
-            raise ValueError("sample_count must be positive")
-        # level 0 is out of domain and perturbed_numbers bumps only k >= 2;
-        # reject the pair here rather than midway through the run
-        fault = self.inject_fault
-        pair = isinstance(fault, tuple) and [type(v) for v in fault] == [int, int]
-        if fault is not None and not (pair and fault[0] >= 1 and fault[1] >= 2):
-            raise ValueError("inject_fault (N, k) needs a pair of ints with N >= 1 and k >= 2")
-
-
 def _cells(suite: Suite, cfg: SuiteConfig):
     """The suite's cells under the config, as param tuples in report order."""
     overrides = (cfg.N_max, cfg.r_max, cfg.n_max)
@@ -747,33 +769,33 @@ def _cells(suite: Suite, cfg: SuiteConfig):
     return itertools.product(*map(axis, suite.params))
 
 
+def _reads_fault(suite: Suite, cell, fault: tuple[int, int] | None) -> bool:
+    """Whether the cell reads the number B[N,k] that ``fault`` = (N, k)
+    perturbs: an injectable suite's cell at level N with index at least k.
+
+    A cell below k reads no perturbed value: ``recurrence`` reads B up to its
+    n_max only, and ``ode`` at n < k meets the bumped weight v_{k-1} only on
+    D^{k-1} y', which is zero.
+    """
+    return fault is not None and suite.injectable and cell[0] == fault[0] and cell[-1] >= fault[1]
+
+
 def _check_cell(suite: Suite, params: dict, cfg: SuiteConfig) -> VerifyReport:
     """Run one cell; :func:`run_suite` and :func:`replay` both come through here."""
     args = [params[p] for p in suite.params]
     if suite.requires is not None and not suite.requires(*args):
         return VerifyReport(suite.name, params, SKIPPED, 0, details={"reason": suite.skip_reason})
     kwargs: dict = {}
-    if suite.injectable and cfg.inject_fault is not None and cfg.inject_fault[0] == params["N"]:
+    if _reads_fault(suite, args, cfg.inject_fault):
         kwargs["numbers"] = perturbed_numbers(params["N"], cfg.inject_fault[1], args[-1])
     if suite.sampled:
-        mode = cfg.mode
-        if mode == "auto":
-            mode = "grid" if (params["n"] + 1) ** params["r"] <= GRID_POINT_LIMIT else "sample"
-        kwargs.update(mode=mode, sample_count=cfg.sample_count, seed=cfg.seed)
+        kwargs.update(mode=cfg.mode, sample_count=cfg.sample_count, seed=cfg.seed)
     # by module-global name at call time, so a rebound attribute (a tracer's wrapper) runs
     return globals()[suite.check](*args, **kwargs)
 
 
 class VacuousRun(ValueError):
     """The run would pass without checking what it was asked to check."""
-
-
-class UnreadFault(VacuousRun):
-    """The run has no cell that reads the number its fault perturbs."""
-
-
-class EmptySuite(VacuousRun):
-    """A selected suite has no cell of the run that meets its precondition."""
 
 
 def run_suite(config: SuiteConfig = SuiteConfig()) -> list[VerifyReport]:
@@ -784,40 +806,39 @@ def run_suite(config: SuiteConfig = SuiteConfig()) -> list[VerifyReport]:
     each table once per builder and leading arguments and slices it for
     smaller indices; the tables are dropped when the suite ends.  The
     recurrence route, which no two cells share, is built per cell and not
-    stored.  A fault B[N,k] is read only by injectable cells at level N with
-    index >= k; a run without such a cell raises :class:`UnreadFault`, as it
-    would pass whether or not the fault trips.  A selected suite whose every
-    cell would be skipped raises :class:`EmptySuite`, as it would check
-    nothing.
+    stored.  Two runs would pass without checking what they were asked to,
+    and raise :class:`VacuousRun` before any cell runs: a selected suite
+    whose every cell would be skipped, and a fault that no cell of the run
+    reads (see :func:`_reads_fault`), which would pass whether or not it
+    trips.  Only the cells that read the fault get the perturbed table.
     """
-    jobs = sorted(
-        (name, cell) for name in config.suites for cell in _cells(SUITES[name], config)
-    )
-    for name in config.suites:
+    fault = config.inject_fault
+    # in selection order, so that the first empty suite reported is the first selected
+    cells = {name: sorted(_cells(SUITES[name], config)) for name in config.suites}
+    for name, suite_cells in cells.items():
         suite = SUITES[name]
-        if suite.requires and not any(suite.requires(*cell) for job, cell in jobs if job == name):
-            raise EmptySuite(
+        if suite.requires and not any(suite.requires(*cell) for cell in suite_cells):
+            raise VacuousRun(
                 f"suite {name!r} checks nothing: every cell is skipped ({suite.skip_reason})"
             )
-    if config.inject_fault is not None:
-        level, k = config.inject_fault
-        if not any(
-            SUITES[name].injectable and cell[0] == level and cell[-1] >= k for name, cell in jobs
-        ):
-            raise UnreadFault(f"no cell of the run reads the faulted number B[{level},{k}]")
-    reports = {}
-    for name in config.suites:
+    reads = (_reads_fault(SUITES[name], cell, fault) for name in cells for cell in cells[name])
+    if fault is not None and not any(reads):
+        raise VacuousRun(f"no cell of the run reads the faulted number B[{fault[0]},{fault[1]}]")
+    reports = []
+    for name in sorted(cells):
         suite = SUITES[name]
-        cells = [cell for job, cell in jobs if job == name]
         # one store per suite; largest index first, so that smaller cells
         # slice tables already built
         token = _TABLES.set({})
         try:
-            for cell in sorted(cells, key=lambda cell: -cell[-1]):
-                reports[name, cell] = _check_cell(suite, dict(zip(suite.params, cell)), config)
+            by_cell = {
+                cell: _check_cell(suite, dict(zip(suite.params, cell)), config)
+                for cell in sorted(cells[name], key=lambda cell: -cell[-1])
+            }
         finally:
             _TABLES.reset(token)
-    return [reports[job] for job in jobs]
+        reports += [by_cell[cell] for cell in cells[name]]
+    return reports
 
 
 def replay(report: VerifyReport, fault: tuple[int, int] | None = None) -> bool:

@@ -12,10 +12,17 @@ integer numerators; the number oracle inverts through the Fraction one.
 Likewise :class:`FractionPoly` and the ``*_fractions`` polynomial functions
 are the former Fraction bodies of ``UniPoly`` and its operations, which the
 package now runs on integer numerators over one denominator.
+
+The ``*_sympy`` functions are oracles outside the package: the polynomial
+tables from their generating function and the A-tables from their
+recurrence, both expanded by sympy.  They import sympy when called, so a
+test that uses them skips with ``pytest.importorskip("sympy")`` first.
 """
 
 from __future__ import annotations
 
+import functools
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -248,3 +255,48 @@ def bipoly_shift_s_fractions(rows: list[FractionPoly], offset) -> list[FractionP
     while out and not out[-1].coeffs:
         out.pop()
     return out
+
+
+@functools.lru_cache(maxsize=None)
+def hb_polys_sympy(N: int, r: int, n_max: int) -> tuple:
+    """The order-r polynomials of level N for n <= n_max as sympy expressions
+    in the symbol x: n! [t^n] of (t^N / (N! (e^t - T_{N-1}(t))))^r e^(xt),
+    T_{N-1} the degree-(N-1) Taylor polynomial of e^t, by ``sympy.series``."""
+    import sympy
+
+    x, t = sympy.symbols("x t")
+    taylor = sum(t**j / sympy.factorial(j) for j in range(N))
+    gf = (t**N / (sympy.factorial(N) * (sympy.exp(t) - taylor))) ** r * sympy.exp(x * t)
+    expansion = sympy.series(gf, t, 0, n_max + 1).removeO()
+    return tuple(sympy.expand(expansion.coeff(t, n) * math.factorial(n)) for n in range(n_max + 1))
+
+
+def a_tables_sympy(level: int):
+    """Yield the A-tables of orders 1, 2, ... in turn, each as a pair (full
+    table, x-free table) of lists of sympy expressions in the symbols x and s,
+    from the recurrence in its ring form:
+    A_r(i) = (s-1)/(r-1) A_{r-1}(i)|_{s->s-N} - (x-(r-1))/(r-1) A_{r-1}(i-1)|_{s->s-N+1},
+    and the same with x -> 0 for the x-free table."""
+    import sympy
+
+    x, s = sympy.symbols("x s")
+
+    def step(prev, xval, order):
+        inv = sympy.Rational(1, order - 1)
+
+        def shifted(i, offset):
+            return prev[i].subs(s, s + offset) if 0 <= i < len(prev) else 0
+
+        return [
+            sympy.expand(
+                inv * (s - 1) * shifted(i, -level)
+                - inv * (xval - (order - 1)) * shifted(i - 1, 1 - level)
+            )
+            for i in range(order)
+        ]
+
+    full = free = [sympy.Integer(1)]
+    for order in itertools.count(2):
+        yield full, free
+        full, free = step(full, x, order), step(free, sympy.Integer(0), order)
+

@@ -29,10 +29,12 @@ from hyperbern.core import (
 from hyperbern.identities import perturbed_numbers
 from oracles import (
     CLASSICAL_BERNOULLI_POLYS,
+    a_tables_sympy,
     bipoly_subst_x,
     classical_bernoulli,
     hb_higher_polys_recurrence_fractions,
     hb_numbers_by_inversion,
+    hb_polys_sympy,
     pochhammer,
     series_invert_fractions,
 )
@@ -166,6 +168,24 @@ def test_numbers_match_sympy_series():
                 level,
                 n,
             )
+
+
+@pytest.mark.parametrize(
+    "r,n_max,build",
+    [(1, 8, lambda N, r, n_max: hb_polys(N, n_max)), (2, 6, hb_higher_polys_series)],
+    ids=["order-1", "order-2"],
+)
+def test_polys_match_sympy_generating_function(r, n_max, build):
+    # an oracle outside the package: the polynomials from their generating
+    # function, expanded by sympy.series, at level 2
+    sympy = pytest.importorskip("sympy")
+    x = sympy.Symbol("x")
+    built = build(2, r, n_max).polys
+    expected = hb_polys_sympy(2, r, n_max)
+    assert len(built) == len(expected)
+    for n, (p, want) in enumerate(zip(built, expected)):
+        coeffs = sympy.Poly(want, x).all_coeffs()[::-1]
+        assert p.coeffs == tuple(Fraction(int(c.p), int(c.q)) for c in coeffs), n
 
 
 def test_level_one_numbers_match_sympy_bernoulli():
@@ -377,34 +397,15 @@ def monomials(entry):
 
 @pytest.mark.parametrize("level", range(1, 5))
 def test_a_tables_match_sympy_expansion(level):
-    # the recurrence in its ring form, expanded by sympy:
-    # A_r(i) = (s-1)/(r-1) A_{r-1}(i)|_{s->s-N} - (x-(r-1))/(r-1) A_{r-1}(i-1)|_{s->s-N+1},
-    # and the same with x -> 0 for the x-free table
+    # both tables against sympy's expansion of their recurrence
     sympy = pytest.importorskip("sympy")
     x, s = sympy.symbols("x s")
-
-    def step(prev, xval, order):
-        inv = sympy.Rational(1, order - 1)
-
-        def shifted(i, offset):
-            return prev[i].subs(s, s + offset) if 0 <= i < len(prev) else 0
-
-        return [
-            sympy.expand(
-                inv * (s - 1) * shifted(i, -level)
-                - inv * (xval - (order - 1)) * shifted(i - 1, 1 - level)
-            )
-            for i in range(order)
-        ]
 
     def expected(expr):
         terms = sympy.Poly(expr, x, s).as_dict()
         return {k: Fraction(int(c.p), int(c.q)) for k, c in terms.items() if c}
 
-    full = free = [sympy.Integer(1)]
-    for order in range(1, 7):
-        if order > 1:
-            full, free = step(full, x, order), step(free, sympy.Integer(0), order)
+    for order, (full, free) in zip(range(1, 7), a_tables_sympy(level)):
         for built, want in ((a_poly(level, order), full), (a_poly_at_zero(level, order), free)):
             assert len(built.entries) == order
             for entry, expr in zip(built.entries, want):

@@ -43,7 +43,14 @@ from hyperbern.identities import (
     replay,
     run_suite,
 )
-from oracles import classical_bernoulli, multinomial_sum_bruteforce, series, series_mul_fractions
+from oracles import (
+    a_tables_sympy,
+    classical_bernoulli,
+    hb_polys_sympy,
+    multinomial_sum_bruteforce,
+    series,
+    series_mul_fractions,
+)
 
 rationals = st.fractions(min_value=-20, max_value=20, max_denominator=12)
 
@@ -244,6 +251,17 @@ def test_sums_grid_small():
     assert rep.details == {"mode": "grid"}
 
 
+@pytest.mark.parametrize("cell", [(2, 3, 6), (1, 4, 11)], ids=["grid", "sampled"])
+def test_sums_defaults_give_the_runs_report(cell):
+    # the check resolves "auto" and takes SuiteConfig's defaults, so a direct
+    # call gives the report a run gives; (1, 4, 11) has a 20,736-point grid
+    params = dict(zip(SUITES["sums"].params, cell))
+    rep = check_sums_of_products(*cell)
+    assert rep == _check_cell(SUITES["sums"], params, SuiteConfig())
+    assert rep.status == PASS
+    assert rep.details["mode"] == ("grid" if cell == (2, 3, 6) else "sample")
+
+
 def test_sums_degenerate_order_one():
     rep = check_sums_of_products(4, 1, 5, mode="grid")
     assert rep.status == PASS
@@ -323,6 +341,51 @@ def test_grid_failure_paths_are_pinned(monkeypatch, idx, coeff, call, cells, cou
     assert rep.status == FAIL
     assert rep.cells_checked == cells
     assert rep.counterexample == counter
+
+
+def _sums_sides_sympy(N, r, n, polys1):
+    """The sums identity's sides at (N, r, n) as sympy expressions in
+    x_1..x_r: the direct multinomial sum of ``polys1`` (order-1 polynomials
+    in x), the order-r polynomial from its generating function at the summed
+    point, and the closed form with the A-table from sympy's expansion of its
+    recurrence."""
+    import sympy
+
+    x, s = sympy.symbols("x s")
+    xs = sympy.symbols(f"x_1:{r + 1}")
+    total = sum(xs)
+    direct = multinomial_sum_bruteforce([[p.subs(x, xj) for p in polys1] for xj in xs], n)
+    collapsed = hb_polys_sympy(N, r, n)[n].subs(x, total)
+    full, _ = next(itertools.islice(a_tables_sympy(N), r - 1, None))
+    at = {x: total, s: 1 + N * (r - 1) - n}
+    closed = sympy.Rational(1, N ** (r - 1)) * sum(
+        (-1) ** i * math.perm(n, i) * entry.subs(at) * polys1[n - i].subs(x, total)
+        for i, entry in enumerate(full)
+    )
+    return direct, collapsed, closed
+
+
+def test_sums_identity_expands_to_zero_in_sympy():
+    # an oracle outside the package for the identity itself, in x_1..x_3
+    sympy = pytest.importorskip("sympy")
+    direct, collapsed, closed = _sums_sides_sympy(2, 3, 8, hb_polys_sympy(2, 1, 8))
+    assert sympy.expand(direct - collapsed) == 0
+    assert sympy.expand(closed - collapsed) == 0
+
+
+@pytest.mark.parametrize("bumped", [False, True], ids=["exact", "p2-plus-x"])
+def test_sums_verdict_matches_sympy_difference(monkeypatch, bumped):
+    # p_2 + x keeps the degree premise, so only the grid walk can reject it:
+    # the check must fail exactly when sympy's difference is nonzero
+    sympy = pytest.importorskip("sympy")
+    polys1 = list(hb_polys_sympy(1, 1, 3))
+    if bumped:
+        _bump_poly(monkeypatch, 2, coeff=1)
+        polys1[2] += sympy.Symbol("x")
+    direct, collapsed, closed = _sums_sides_sympy(1, 2, 3, polys1)
+    nonzero = any(sympy.expand(side - collapsed) != 0 for side in (direct, closed))
+    assert (check_sums_of_products(1, 2, 3).status == FAIL) == nonzero
+    assert nonzero == bumped
 
 
 def _vanishing(top):
@@ -619,6 +682,15 @@ def test_suite_rejects_out_of_domain_fault(fault):
         SuiteConfig(suites=("kamano", "ode"), N_max=2, n_max=4, inject_fault=fault)
 
 
+@pytest.mark.parametrize(
+    "field,value", [("N_max", 1.5), ("sample_count", 2.5), ("seed", "x"), ("n_max", True)]
+)
+def test_suite_rejects_non_int_fields(field, value):
+    # a float range top would crash the run midway, and the others would run
+    with pytest.raises(ValueError, match=f"{field} must be an int"):
+        SuiteConfig(suites=("kamano",), **{field: value})
+
+
 def test_suite_rejects_unknown():
     with pytest.raises(ValueError):
         SuiteConfig(suites=("nope",))
@@ -657,6 +729,36 @@ def test_suite_fault_injection_fails_ode_and_recurrence():
         assert replay(rep, fault=(1, 2))
     # cells at the unperturbed level never fail
     assert all(r.status != FAIL for r in reports if r.params["N"] == 2)
+
+
+def test_only_cells_that_read_the_fault_get_a_perturbed_table(monkeypatch):
+    # ode cells with n < k and recurrence cells with n_max < k read no
+    # perturbed value, so they get the exact table; every cell that gets the
+    # perturbed one fails
+    builds = []
+    exact_perturbed = identities.perturbed_numbers
+
+    def counted(*args):
+        builds.append(args)
+        return exact_perturbed(*args)
+
+    monkeypatch.setattr(identities, "perturbed_numbers", counted)
+    perturbed = set()
+    for name in ("ode", "recurrence"):
+        exact = getattr(identities, SUITES[name].check)
+
+        def recorded(*args, _name=name, _exact=exact, numbers=None):
+            if numbers is not None:
+                perturbed.add((_name, args))
+            return _exact(*args, numbers=numbers)
+
+        monkeypatch.setattr(identities, SUITES[name].check, recorded)
+    cfg = SuiteConfig(suites=("ode", "recurrence"), N_max=1, r_max=2, n_max=8, inject_fault=(1, 5))
+    reports = run_suite(cfg)
+    assert len(builds) == 10
+    failed = {(r.identity_name, tuple(r.params.values())) for r in reports if r.status == FAIL}
+    assert failed == perturbed
+    assert len(failed) == 10
 
 
 _ONE = UniPoly((1,))
@@ -741,16 +843,18 @@ def test_every_route_matters(monkeypatch, route):
 
 @pytest.mark.parametrize("name", [name for name, suite in SUITES.items() if suite.requires])
 def test_requires_matches_the_checks_precondition(name):
-    # a suite's requires predicate and its check's ValueError state one
-    # precondition twice; over small cells they must agree
+    # each check raises ValueError through its row's requires predicate,
+    # naming the suite, the reason and the cell; over small cells they agree
     suite = SUITES[name]
     check = getattr(identities, suite.check)
     axes = {"N": (1,), "r": (1, 2, 3)}
     for cell in itertools.product(*(axes.get(p, range(4)) for p in suite.params)):
+        got = ", ".join(f"{p}={v}" for p, v in zip(suite.params, cell))
         try:
             check(*cell)
             raised = False
-        except ValueError:
+        except ValueError as exc:
+            assert str(exc) == f"{name} {suite.skip_reason} (got {got})"
             raised = True
         assert suite.requires(*cell) is not raised, cell
 
