@@ -347,17 +347,26 @@ def _first_mismatch(polys, n: int, rows, sides):
     of each row with every side polynomial at the point's coordinate sum, in
     integers.
 
-    A coordinate x = a/b becomes the integer vector whose entry i is p_i(x)/i!
-    times the scale M = D * n! * b^n (D clears every coefficient denominator),
-    once per call.  A row is (prefix, lasts): the points prefix + (x,) for x in
-    lasts, in order.  A row's last coordinates share one denominator (a range
-    of integers, or a single rational), so they share the scale, and the sum
-    at prefix + (lasts[j],) is n! * dots[j] / scale with integer dots[j].
-    Consecutive rows share the convolution of their common leading
-    coordinates: the stack holds the convolution of each leading run of the
-    prefix, the empty run being the unit, and is rebuilt only from the first
-    coordinate that changed.  The row's dots are then one comprehension over
-    its last coordinates, and the row is compared with one list comparison.
+    A coordinate x = a/b becomes the integer vector u with
+    u_i = (n!/i!) * sum_k c_ik a^k b^(n-k), c_ik the coefficients of p_i over
+    one denominator D, that is p_i(x)/i! times the scale M = D * n! * b^n.
+    Each u_i is one dot product of its coefficients with the power row
+    a^k b^(n-k), k = 0..n, computed once per coordinate; so the walk's
+    premise is that no p_i has more than n + 1 coefficients, and a table
+    past it raises ValueError.  A row is (prefix, lasts): the points
+    prefix + (x,) for x in lasts, in order.  A row's last coordinates share
+    one denominator (a range of integers, or a single rational), so they
+    share the scale, and the sum at prefix + (lasts[j],) is
+    n! * dots[j] / scale with integer dots[j].
+
+    The sum is symmetric in the points, so everything it needs from a prefix
+    depends only on the prefix's multiset of coordinates.  Each coordinate
+    gets an id when first seen, and a prefix is keyed by its sorted ids.  The
+    truncated convolution of every leading run of a key is memoized, each
+    built from the longest run already held, the empty run being the unit;
+    a row's dots are memoized under its key and its lasts.  So a permuted
+    prefix convolves and dots nothing again, but each of its points is
+    still compared with its own targets.  Every memo is local to the call.
 
     A point's target is the integer its dot must be for every side to hold,
     or None if no integer is (a side needs a non-integer, or two sides need
@@ -367,26 +376,33 @@ def _first_mismatch(polys, n: int, rows, sides):
     Fractions are built only for the counterexample.
 
     Returns the number of points checked and the first (point, lhs, side
-    values) where some side differs, or None.  The tests pin the walk against
-    brute-force composition enumeration.
+    values) in walk order where some side differs, or None.  The tests pin
+    the walk against brute-force composition enumeration.
     """
     fact_n = math.factorial(n)
     polys = polys[: n + 1]
+    if any(len(p.nums) > n + 1 for p in polys):
+        raise ValueError(f"a table polynomial has degree above n = {n}")
     d = math.lcm(*(p.den for p in polys))
     int_coeffs = [[c * (d // p.den) for c in p.nums] for p in polys]
     fall = [fact_n // math.factorial(i) for i in range(n + 1)]
-    vectors: dict = {}  # coordinate -> (its vector, the vector's scale)
+    ids: dict = {}  # coordinate -> its id, an index into vectors
+    vectors: list = []  # id -> (the coordinate's vector, the vector's scale)
 
-    def vector(x):
-        if x not in vectors:
+    def ident(x) -> int:
+        # x's id, its vector built on first sight
+        i = ids.get(x)
+        if i is None:
             a, b = x.numerator, x.denominator
-            top = b**n
-            u = []
-            for coeffs, f in zip(int_coeffs, fall):
-                h, bpow = _horner(coeffs, a, b)
-                u.append(h * f * (top // bpow))
-            vectors[x] = u, d * fact_n * top
-        return vectors[x]
+            a_pows, b_pows = (
+                list(itertools.accumulate(itertools.repeat(c, n), operator.mul, initial=1))
+                for c in (a, b)
+            )
+            powers = list(map(operator.mul, a_pows, reversed(b_pows)))  # a^k b^(n-k)
+            u = [f * sum(map(operator.mul, coeffs, powers)) for coeffs, f in zip(int_coeffs, fall)]
+            i = ids[x] = len(vectors)
+            vectors.append((u, d * fact_n * b_pows[-1]))
+        return i
 
     int_sides = [(side.nums, side.den) for side in sides]
 
@@ -402,29 +418,35 @@ def _first_mismatch(polys, n: int, rows, sides):
             needed.add(None if rem else q)
         return needed.pop() if len(needed) == 1 else None
 
-    stack = [([1] + [0] * n, 1)]
-    prev: tuple = ()
-    by_lasts: dict = {}  # lasts -> (its reversed vectors, their scale)
+    convs: dict = {(): ([1] + [0] * n, 1)}  # sorted ids -> (convolution, scale)
+    by_lasts: dict = {}  # lasts -> (reversed vectors, their scale, {sorted ids -> (dots, scale)})
     targets: dict = {}  # scale -> {coordinate sum -> target}
     checked = 0
     for prefix, lasts in rows:
-        # stack[j] is the convolution of prev[:j]
-        k = 0
-        while k < len(stack) - 1 and prefix[k] == prev[k]:
-            k += 1
-        del stack[k + 1 :]
-        for x in prefix[k:]:
-            conv, m_total = stack[-1]
-            u, m = vector(x)
-            # the unit convolved with a vector is that vector
-            stack.append((u if len(stack) == 1 else _conv(conv, u, n + 1), m_total * m))
-        prev = prefix
-        conv, m_total = stack[-1]
-        if lasts not in by_lasts:
-            by_lasts[lasts] = [vector(x)[0][::-1] for x in lasts], vector(lasts[0])[1]
-        revs, m = by_lasts[lasts]
-        dots = [sum(map(operator.mul, conv, rev)) for rev in revs]
-        scale = m_total * m
+        key = tuple(sorted(map(ident, prefix)))
+        held = by_lasts.get(lasts)
+        if held is None:
+            last_ids = [ident(x) for x in lasts]
+            revs = [vectors[i][0][::-1] for i in last_ids]
+            held = by_lasts[lasts] = revs, vectors[last_ids[0]][1], {}
+        revs, m, row_dots = held
+        memo = row_dots.get(key)
+        if memo is None:
+            if key not in convs:
+                # extend the longest leading run held, memoizing each longer one
+                j = len(key) - 1
+                while key[:j] not in convs:
+                    j -= 1
+                conv, m_total = convs[key[:j]]
+                for j in range(j, len(key)):
+                    u, m_j = vectors[key[j]]
+                    # the unit convolved with a vector is that vector
+                    conv = _conv(conv, u, n + 1) if j else u
+                    m_total *= m_j
+                    convs[key[: j + 1]] = conv, m_total
+            conv, m_total = convs[key]
+            memo = row_dots[key] = [sum(map(operator.mul, conv, rev)) for rev in revs], m_total * m
+        dots, scale = memo
         x0 = sum(prefix)
         at = targets.setdefault(scale, {})  # coordinate sum -> target, at this scale
         sums = [x0 + x for x in lasts]
@@ -499,7 +521,8 @@ def check_sums_of_products(
 
     sides = [higher, rhs]
     # the collapsed side and the closed form depend on the point only through
-    # its sum; the direct side is still computed at every point
+    # its sum; the direct side is compared at every point, and computed once
+    # per multiset of leading coordinates
     if mode == "grid":
         details = {"mode": "grid"}
         last = range(n + 1)

@@ -1,3 +1,4 @@
+import gc
 import itertools
 import math
 import sys
@@ -138,6 +139,22 @@ def test_integer_walk_matches_fraction_walk(walk):
     assert got == _fraction_walk(polys, n, points, sides)
 
 
+def _wrong_at_chosen_sums(exact, points):
+    """Sides equal to ``exact`` plus q times a polynomial that vanishes at
+    every coordinate sum of ``points`` but a chosen few: wrong exactly at the
+    points whose sum is chosen."""
+    sums = sorted(set(map(sum, points)))
+
+    def wrong_at(chosen, q):
+        vanish = UniPoly((1,))
+        for s in sums:
+            if s not in chosen:
+                vanish = vanish * UniPoly((-s, 1))
+        return exact + q * vanish
+
+    return st.builds(wrong_at, st.sets(st.sampled_from(sums), max_size=2), rationals)
+
+
 @st.composite
 def _row_walks(draw):
     level = draw(st.integers(min_value=1, max_value=3))
@@ -153,20 +170,10 @@ def _row_walks(draw):
     rows = draw(st.lists(st.one_of(grid_row, point_row), min_size=1, max_size=5))
     points = [prefix + (x,) for prefix, lasts in rows for x in lasts]
     exact = hb_higher_polys_series(level, fold, n).polys[n]
-    sums = sorted(set(map(sum, points)))
-
-    def wrong_at(chosen, q):
-        # wrong exactly at the points whose coordinate sum is chosen
-        vanish = UniPoly((1,))
-        for s in sums:
-            if s not in chosen:
-                vanish = vanish * UniPoly((-s, 1))
-        return exact + q * vanish
-
     side = st.one_of(
         st.just(exact),
         st.just(exact + UniPoly((Fraction(1, 1_000_000_007),))),
-        st.builds(wrong_at, st.sets(st.sampled_from(sums), max_size=2), rationals),
+        _wrong_at_chosen_sums(exact, points),
         st.lists(rationals, max_size=n + 2).map(lambda c: UniPoly(tuple(c))),
     )
     sides = draw(st.lists(side, min_size=1, max_size=2))
@@ -180,6 +187,111 @@ def test_row_walk_matches_point_walk(walk):
     point_rows = [(point[:-1], point[-1:]) for point in points]
     assert got == _first_mismatch(polys, n, point_rows, sides)
     assert got == _fraction_walk(polys, n, points, sides)
+
+
+@st.composite
+def _grid_walks(draw):
+    # full product grids, so that every permutation of each prefix is walked
+    # and the walk reads its multiset memo; each row draws its own last
+    # coordinates, so that permuted prefixes sometimes end their rows alike
+    # and sometimes not
+    level = draw(st.integers(min_value=1, max_value=3))
+    n = draw(st.integers(min_value=0, max_value=4))
+    fold = draw(st.integers(min_value=1, max_value=4))
+    width = draw(st.integers(min_value=1, max_value=3))
+    lasts = st.sampled_from([range(3), range(1, 3), range(2, 5)])
+    rows = [(prefix, draw(lasts)) for prefix in itertools.product(range(width), repeat=fold - 1)]
+    points = [prefix + (x,) for prefix, last in rows for x in last]
+    polys = list(hb_polys(level, n).polys)
+    # c x^k on p_i with k <= i keeps the degree premise but not the Appell
+    # property, so no side is right at every point
+    for i, k, c in draw(st.lists(st.tuples(st.integers(0, n), st.integers(0, n), rationals),
+                                 max_size=1)):
+        polys[i] = polys[i] + c * UniPoly((0,) * min(k, i) + (1,))
+    exact = hb_higher_polys_series(level, fold, n).polys[n]
+    side = st.one_of(st.just(exact), _wrong_at_chosen_sums(exact, points))
+    sides = draw(st.lists(side, min_size=1, max_size=2))
+    return polys, n, rows, points, sides
+
+
+@given(_grid_walks())
+def test_grid_walk_matches_point_walk(walk):
+    polys, n, rows, points, sides = walk
+    got = _first_mismatch(polys, n, rows, sides)
+    point_rows = [(point[:-1], point[-1:]) for point in points]
+    assert got == _first_mismatch(polys, n, point_rows, sides)
+    assert got == _fraction_walk(polys, n, points, sides)
+
+
+@pytest.mark.parametrize("x", [Fraction(1, 2), 2], ids=["rational", "integer"])
+def test_walk_rejects_a_table_past_its_degree_premise(x):
+    # the power row holds x^0..x^n only, so a cubic p_1 at n = 1 would be
+    # truncated; the callers test deg p_i <= i first, the walk its own premise
+    cube = UniPoly((0, 0, 0, 1))
+    with pytest.raises(ValueError, match="degree"):
+        _first_mismatch([UniPoly((1,)), cube], 1, [((), (x,))], [cube])
+
+
+def _walk_work(monkeypatch, call):
+    """The report of ``call()``, with counts of its ``_conv`` calls and of the
+    sums over a map in ``identities``: the walk's dot products and the
+    entries of its coordinate vectors."""
+    counts = Counter()
+    conv = identities._conv
+
+    def counted_conv(*args):
+        counts["convs"] += 1
+        return conv(*args)
+
+    def counted_sum(values, *start):
+        counts["map sums"] += isinstance(values, map)
+        return sum(values, *start)
+
+    monkeypatch.setattr(identities, "_conv", counted_conv)
+    monkeypatch.setattr(identities, "sum", counted_sum, raising=False)
+    return call(), counts
+
+
+@pytest.mark.parametrize(
+    "call,n,walks,convs,dots",
+    [
+        # 66 + 286 multisets of two and three leading coordinates, each
+        # convolved once, and 286 rows of 11 dots (the full grid: 1,452 and 14,641)
+        (lambda: check_sums_of_products(2, 4, 10), 10, 1, 352, 3_146),
+        # fold 3's 121 multisets {a, b} with a + b <= 20 (all pairs: 231 and 2,002)
+        (lambda: check_two_three_sums(2, 20), 20, 2, 121, 1_177),
+        # every sampled prefix is a multiset of its own: 64 points, 2 convolutions each
+        (lambda: check_sums_of_products(2, 4, 16), 16, 1, 128, 64),
+    ],
+    ids=["sums-grid", "two-three", "sums-sample"],
+)
+def test_walk_work_is_pinned(monkeypatch, call, n, walks, convs, dots):
+    rep, counts = _walk_work(monkeypatch, call)
+    assert rep.status == PASS
+    if rep.details and rep.details["mode"] == "sample":
+        coordinates = len({c for point in rep.details["points"] for c in point})
+    else:
+        coordinates = n + 1  # each walk sees 0..n
+    assert counts["convs"] == convs
+    # each walk's coordinate vectors take one sum per table polynomial p_0..p_n
+    assert counts["map sums"] - walks * coordinates * (n + 1) == dots
+
+
+def test_walk_leaves_no_cyclic_garbage():
+    # every memo is a local of its call, freed by refcount on return
+    polys = hb_polys(2, 6).polys
+    grid = [(prefix, range(7)) for prefix in itertools.product(range(7), repeat=3)], 4
+    sampled = [((Fraction(1, 2), Fraction(-5, 3)), (Fraction(7, 4),))], 3
+    walks = [(rows, [hb_higher_polys_series(2, fold, 6).polys[6]])
+             for rows, fold in (grid, sampled, grid)]
+    gc.collect()
+    gc.disable()
+    try:
+        for rows, sides in walks:
+            assert _first_mismatch(polys, 6, rows, sides) == (len(rows) * len(rows[0][1]), None)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 # --- number identity ----------------------------------------------------------
@@ -462,6 +574,54 @@ def test_two_three_checks_its_degree_premise(monkeypatch, n):
     assert replay(rep)
 
 
+def _two_three_differences_sympy(N, n, polys1):
+    """Each fold's direct multinomial sum of ``polys1`` (order-1 polynomials
+    in x) in x_1..x_fold, minus its closed form from the docstring of
+    check_two_three_sums at the summed point, expanded by sympy."""
+    import sympy
+
+    x = sympy.Symbol("x")
+    differences = {}
+    for fold in (2, 3):
+        xs = sympy.symbols(f"x_1:{fold + 1}")
+        total = sum(xs)
+        b = [p.subs(x, total) for p in polys1]
+        direct = multinomial_sum_bruteforce([[p.subs(x, xj) for p in polys1] for xj in xs], n)
+        if fold == 2:
+            closed = sympy.Rational(1, N) * ((N - n) * b[n] + n * (total - 1) * b[n - 1])
+        else:
+            closed = sympy.Rational(1, 2 * N * N) * (
+                (N - n) * (2 * N - n) * b[n]
+                + n * ((2 * N - n) * (total - 1) + (total - 2) * (N - n + 1)) * b[n - 1]
+                + n * (n - 1) * (total - 1) * (total - 2) * b[n - 2]
+            )
+        differences[fold] = sympy.expand(direct - closed)
+    return differences
+
+
+def test_two_three_identities_expand_to_zero_in_sympy():
+    # an oracle outside the package for both closed forms, in x_1..x_fold
+    pytest.importorskip("sympy")
+    assert _two_three_differences_sympy(2, 6, hb_polys_sympy(2, 1, 6)) == {2: 0, 3: 0}
+
+
+@pytest.mark.parametrize("bumped", [False, True], ids=["exact", "p2-plus-x"])
+def test_two_three_verdict_matches_sympy_difference(monkeypatch, bumped):
+    # p_2 + x keeps the degree premise, so only the lattice walk can reject it:
+    # the check must fail exactly when a fold's sympy difference is nonzero
+    sympy = pytest.importorskip("sympy")
+    polys1 = list(hb_polys_sympy(1, 1, 4))
+    if bumped:
+        _bump_poly(monkeypatch, 2, coeff=1)
+        polys1[2] += sympy.Symbol("x")
+    differences = _two_three_differences_sympy(1, 4, polys1)
+    rep = check_two_three_sums(1, 4)
+    assert (rep.status == FAIL) == any(d != 0 for d in differences.values())
+    assert (rep.status == FAIL) == bumped
+    if bumped:
+        assert rep.cells_checked == 2
+        assert (rep.counterexample["fold"], rep.counterexample["x_points"]) == (2, ["0", "1"])
+
 def test_two_fold_reproduces_euler_identity():
     # at level 1 and x = 0 the two-fold form becomes the classical
     # convolution identity: sum C(n,i) B_i B_{n-i} = -n B_{n-1} - (n-1) B_n
@@ -490,6 +650,22 @@ def test_ode_precondition():
     with pytest.raises(ValueError):
         check_ode(1, 1, 0)
 
+
+def test_ode_residual_is_zero_in_sympy():
+    # the ODE on the generating-function polynomials, differentiated by sympy:
+    # sum_{k=2..n} B[N,k]/k! y^(k) - (x/(rN) - 1/(N(N+1))) y' + (n/(rN)) y
+    sympy = pytest.importorskip("sympy")
+    N, r, n = 2, 2, 6
+    x = sympy.Symbol("x")
+    numbers = [p.subs(x, 0) for p in hb_polys_sympy(N, 1, n)]
+    y = hb_polys_sympy(N, r, n)[n]
+    residual = (
+        sum(numbers[k] / sympy.factorial(k) * sympy.diff(y, x, k) for k in range(2, n + 1))
+        - (x / (r * N) - sympy.Rational(1, N * (N + 1))) * sympy.diff(y, x)
+        + sympy.Rational(n, r * N) * y
+    )
+    assert sympy.expand(residual) == 0
+    assert check_ode(N, r, n).status == PASS
 
 def test_ode_detects_perturbation():
     rep = check_ode(1, 1, 5, numbers=perturbed_numbers(1, 2, 5))
