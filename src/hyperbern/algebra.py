@@ -36,9 +36,8 @@ import operator
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Union
 
-RationalLike = Union[int, Fraction]
+RationalLike = int | Fraction  # the exact scalars: a float or a string is not exact
 
 __all__ = [
     "UniPoly",
@@ -96,6 +95,13 @@ def parse_rational(text: str) -> Fraction:
 # ---------------------------------------------------------------------------
 # integer kernels
 # ---------------------------------------------------------------------------
+
+
+def _exact(c: RationalLike) -> RationalLike:
+    """c itself; TypeError unless it is an exact scalar."""
+    if not isinstance(c, RationalLike):
+        raise TypeError(f"expected int or Fraction, not {type(c).__name__}")
+    return c
 
 
 def _integer_coeffs(coeffs) -> tuple[list[int], int]:
@@ -162,11 +168,7 @@ class UniPoly:
     den: int
 
     def __new__(cls, coeffs=()) -> UniPoly:
-        cs = list(coeffs)
-        for c in cs:
-            if not isinstance(c, (int, Fraction)):
-                raise TypeError(f"coefficients must be int or Fraction, not {type(c).__name__}")
-        return UniPoly.from_integers(*_integer_coeffs(cs))
+        return UniPoly.from_integers(*_integer_coeffs([_exact(c) for c in coeffs]))
 
     @staticmethod
     def from_integers(nums, den: int = 1) -> UniPoly:
@@ -216,7 +218,7 @@ class UniPoly:
     def __mul__(self, other: UniPoly | RationalLike) -> UniPoly:
         if isinstance(other, UniPoly):
             return UniPoly.from_integers(_conv(self.nums, other.nums), self.den * other.den)
-        if not isinstance(other, (int, Fraction)):
+        if not isinstance(other, RationalLike):
             return NotImplemented
         # cancel against den first, so that the reduction seldom has a factor left to divide out
         g = math.gcd(other.numerator, self.den)
@@ -226,7 +228,7 @@ class UniPoly:
     __rmul__ = __mul__
 
     def __truediv__(self, other: RationalLike) -> UniPoly:
-        if not isinstance(other, (int, Fraction)):
+        if not isinstance(other, RationalLike):
             return NotImplemented
         c, d = other.denominator, other.numerator
         if d < 0:
@@ -263,7 +265,9 @@ def poly_combination(terms) -> UniPoly:
 
 
 def poly_eval(p: UniPoly, v: RationalLike) -> Fraction:
-    """Exact value of p at v: Horner's scheme in integers, one Fraction."""
+    """Exact value of p at v: Horner's scheme in integers, one Fraction.
+    TypeError unless v is an exact scalar."""
+    _exact(v)
     h, bpow = _horner(p.nums, v.numerator, v.denominator)
     return Fraction(h, p.den * bpow)
 
@@ -327,7 +331,9 @@ def bipoly_subst_s(a: BiPoly, sval: RationalLike) -> UniPoly:
     """Substitute a rational value for s, leaving a polynomial in x.
 
     Row i at s = p/q is H_i / (d_i q^deg_i) by :func:`_horner`; the rows are
-    brought over lcm(d_i) q^deg, deg the largest row degree, in integers."""
+    brought over lcm(d_i) q^deg, deg the largest row degree, in integers.
+    TypeError unless sval is an exact scalar."""
+    _exact(sval)
     if a.is_zero:
         return UniPoly()
     p, q = sval.numerator, sval.denominator
@@ -346,7 +352,9 @@ def bipoly_shift_s(a: BiPoly, offset: RationalLike) -> BiPoly:
     With offset p/q and D the s-degree, q^D (s + p/q)^j is
     sum_k C(j, k) p^(j-k) q^(D-j+k) s^k, so each row's numerators are
     re-expanded by those integer weights and its denominator scaled by q^D.
+    TypeError unless offset is an exact scalar.
     """
+    _exact(offset)
     if a.is_zero or offset == 0:
         return a
     p, q, deg = offset.numerator, offset.denominator, a.s_degree

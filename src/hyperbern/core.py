@@ -87,11 +87,26 @@ class APolyTable:
     entries: tuple[BiPoly, ...]
 
 
-def _check_level_order(N: int, order: int) -> None:
+def _check_level_order(N: int, order: int, r: int = 1) -> None:
+    """The builders' rule: level N >= 1, top index or series order >= 0, order r >= 1."""
     if N < 1:
         raise ValueError("level N must be >= 1")
     if order < 0:
         raise ValueError("order must be nonnegative")
+    if r < 1:
+        raise ValueError("order r must be >= 1")
+
+
+def _check_numbers(numbers: HBNumberTable, N: int, top: int) -> None:
+    """An injected number table must be at level N and hold B[N,0..top]."""
+    if numbers.N != N or len(numbers.values) <= top:
+        got = f"level {numbers.N} up to index {len(numbers.values) - 1}"
+        raise ValueError(f"numbers must be a level-{N} table up to index {top}, not {got}")
+
+
+def _check_index(table: HBPolyTable, n: int) -> None:
+    if n < 0 or n >= len(table.polys):
+        raise IndexError(f"index {n} not covered by table of size {len(table.polys)}")
 
 
 def normalized_denominator(N: int, order: int) -> PowerSeries:
@@ -159,9 +174,9 @@ def hb_polys(N: int, n_max: int) -> HBPolyTable:
 
 
 def hb_higher_numbers(N: int, r: int, n_max: int) -> HBNumberTable:
-    """Order-r numbers: n! times coefficients of the r-th power of the reciprocal series."""
-    if r < 1:
-        raise ValueError("order r must be >= 1")
+    """Order-r numbers: n! times coefficients of the r-th power of the
+    reciprocal series.  ValueError unless N >= 1, r >= 1 and n_max >= 0."""
+    _check_level_order(N, n_max, r)
     f = series_invert(normalized_denominator(N, n_max))
     g = series_pow(f, r)
     values = tuple(math.factorial(n) * c for n, c in enumerate(g.coeffs))
@@ -194,14 +209,15 @@ def hb_higher_polys_recurrence(
     whose weights are built once: it is one :func:`poly_combination` of
     q_0..q_n, divided by n+1, and p_n = n! q_n.  Step n touches O(n^2)
     coefficients, so the table costs O(n_max^3) integer operations (on
-    numbers that grow with n).  An explicit ``numbers`` table may be injected
-    (used for fault-sensitivity testing); it must cover indices up to n_max.
+    numbers that grow with n).  ValueError unless N >= 1, r >= 1 and
+    n_max >= 0.  An explicit ``numbers`` table may be injected (used for
+    fault-sensitivity testing); ValueError unless it is at level N and holds
+    B[N,0..n_max], the numbers the steps read.
     """
-    if r < 1:
-        raise ValueError("order r must be >= 1")
-    if numbers is None:
-        numbers = hb_numbers(N, n_max + 1)
-    v = _operator_weights(N, r, numbers.values)
+    _check_level_order(N, n_max, r)
+    if numbers is not None:
+        _check_numbers(numbers, N, n_max)
+    v = _operator_weights(N, r, (numbers or hb_numbers(N, n_max + 1)).values)
     q = [UniPoly((1,))]
     for n in range(n_max):
         x_q = UniPoly.from_integers((0, *q[n].nums), q[n].den)
@@ -222,8 +238,7 @@ def hb_order_step(table: HBPolyTable, n: int) -> UniPoly:
     """
     if n == 0:
         return UniPoly((1,))
-    if n < 0 or n >= len(table.polys):
-        raise IndexError(f"index {n} not covered by table of size {len(table.polys)}")
+    _check_index(table, n)
     N, r = table.N, table.r
     x_minus_r = UniPoly((-r, 1))
     terms = ((N * r - n, table.polys[n]), (n, x_minus_r * table.polys[n - 1]))
@@ -242,8 +257,7 @@ def _a_table(N: int, r: int, keep_x: bool) -> APolyTable:
     term is dropped: that is the recurrence at x = 0, where the factor
     -(x-(r-1))/(r-1) equals 1.
     """
-    if N < 1 or r < 1:
-        raise ValueError("N and r must be >= 1")
+    _check_level_order(N, 0, r)
     zero, s_minus_1 = UniPoly(), UniPoly((-1, 1))
     entries = [BiPoly((UniPoly((1,)),))]
     for rr in range(2, r + 1):
@@ -269,6 +283,7 @@ def a_poly(N: int, r: int) -> APolyTable:
 
     with out-of-range entries zero; the s-shifts are exact binomial
     re-expansions, and each power of x is one row formula (see ``_a_table``).
+    ValueError unless N >= 1 and r >= 1.
     """
     return _a_table(N, r, keep_x=True)
 
@@ -282,7 +297,8 @@ def a_poly_at_zero(N: int, r: int) -> APolyTable:
     rather than by substituting x = 0 into a_poly: it is the row formula of
     ``_a_table`` without the b_{k-1} term, and never reads a_poly's result.
     No ``verify`` suite compares the two; the package's unit tests and a
-    sympy expansion of the recurrence check that they agree.
+    sympy expansion of the recurrence check that they agree.  ValueError
+    unless N >= 1 and r >= 1.
     """
     return _a_table(N, r, keep_x=False)
 
@@ -308,7 +324,6 @@ def _apply_operator(p: UniPoly, weights) -> UniPoly:
 def mult_operator_apply(table: HBPolyTable, n: int) -> UniPoly:
     """The index-raising operator M of :func:`_operator_weights` applied to
     table.polys[n]; the result must equal table.polys[n+1] (the tests assert it)."""
-    if n < 0 or n >= len(table.polys):
-        raise IndexError(f"index {n} not covered by table of size {len(table.polys)}")
+    _check_index(table, n)
     weights = _operator_weights(table.N, table.r, hb_numbers(table.N, n + 1).values)
     return _apply_operator(table.polys[n], weights)

@@ -51,6 +51,7 @@ from .core import (
     HBNumberTable,
     HBPolyTable,
     _apply_operator,
+    _check_numbers,
     _operator_weights,
     a_poly,
     a_poly_at_zero,
@@ -232,13 +233,17 @@ class SuiteConfig:
             raise ValueError("inject_fault (N, k) needs a pair of ints with N >= 1 and k >= 2")
 
 
-def _require(name: str, *cell) -> None:
-    """Raise ``ValueError`` unless the cell meets the ``requires`` of its
-    suite's row; each check states its precondition through this call."""
+def _require(name: str, *cell) -> dict:
+    """The cell's params, named by its suite's row; ``ValueError`` unless the
+    cell meets the row's ``requires`` (a row without one takes every cell).
+    Each check states its precondition and its report's params through this
+    call."""
     suite = SUITES[name]
-    if not suite.requires(*cell):
-        got = ", ".join(f"{p}={v}" for p, v in zip(suite.params, cell))
+    params = dict(zip(suite.params, cell))
+    if suite.requires is not None and not suite.requires(*cell):
+        got = ", ".join(f"{p}={v}" for p, v in params.items())
         raise ValueError(f"{name} {suite.skip_reason} (got {got})")
+    return params
 
 
 # ---------------------------------------------------------------------------
@@ -466,8 +471,7 @@ def check_kamano(N: int, r: int, n: int) -> VerifyReport:
     number sequences against its closed form with x-free coefficient
     polynomials, after Kamano, "Sums of products of hypergeometric Bernoulli
     numbers" (J. Number Theory 130, 2010).  Requires n >= r-1."""
-    _require("kamano", N, r, n)
-    params = {"N": N, "r": r, "n": n}
+    params = _require("kamano", N, r, n)
     # the numbers as constant polynomials, so the convolution runs on integers
     # and the closed form is the polynomial one taken at x = 0
     polys = [UniPoly((v,)) for v in _table("hb_numbers", N, n).values]
@@ -506,15 +510,13 @@ def check_sums_of_products(
     ``seed``, takes the grid when it has at most ``GRID_POINT_LIMIT`` points
     and samples otherwise, so a call with the defaults gives the report that
     :func:`run_suite` gives for the cell.  The report records the mode taken.
+    mode, ``sample_count`` and ``seed`` obey :class:`SuiteConfig`'s rule,
+    which raises its ``ValueError`` on a bad one (in grid mode too).
     """
-    _require("sums", N, r, n)
-    if mode not in MODES:
-        raise ValueError(f"unknown mode {mode!r}")
+    params = _require("sums", N, r, n)
+    SuiteConfig(mode=mode, sample_count=sample_count, seed=seed)
     if mode == "auto":
         mode = "grid" if (n + 1) ** r <= GRID_POINT_LIMIT else "sample"
-    if sample_count < 1:
-        raise ValueError("sample_count must be positive")
-    params = {"N": N, "r": r, "n": n}
     polys1 = _table("hb_polys", N, n).polys
     higher = _table("hb_higher_polys_series", N, r, n).polys[n]
     rhs = _closed_form(N, r, n, _table("a_poly", N, r).entries, polys1)
@@ -574,8 +576,7 @@ def check_two_three_sums(N: int, n: int) -> VerifyReport:
     its C(n+f, f) points proves the identity.  Those degree bounds are
     checked first, and a polynomial past its bound fails the cell.
     """
-    _require("two-three", N, n)
-    params = {"N": N, "n": n}
+    params = _require("two-three", N, n)
     polys1 = _table("hb_polys", N, n).polys
 
     b_n, b_n1 = polys1[n], polys1[n - 1]
@@ -618,10 +619,13 @@ def check_ode(N: int, r: int, n: int, numbers: HBNumberTable | None = None) -> V
 
     that is, -(M y' - n y)/(rN) = 0 exactly, with the operator M that
     ``mult_operator_apply`` runs and y from the series route.  A ``numbers``
-    table may be injected for fault testing.
+    table may be injected for fault testing; ``ValueError`` unless it is at
+    level N and holds B[N,0..n], the numbers M's weights read.  Requires
+    n >= 1.
     """
-    _require("ode", N, r, n)
-    params = {"N": N, "r": r, "n": n}
+    params = _require("ode", N, r, n)
+    if numbers is not None:
+        _check_numbers(numbers, N, n)
     values = (numbers or _table("hb_numbers", N, n)).values
     y = _table("hb_higher_polys_series", N, r, n).polys[n]
     m_yp = _apply_operator(poly_derivative(y), _operator_weights(N, r, values))
@@ -639,8 +643,9 @@ def check_recurrence_paths(
     """Coefficientwise agreement of three independent constructions of the
     order-r table: the series path, the linear recurrence, and the iterated
     order-raising step from the order-1 table.  An injected ``numbers`` table
-    feeds only the recurrence path."""
-    params = {"N": N, "r": r, "n_max": n_max}
+    feeds only the recurrence path, which raises ``ValueError`` unless it is
+    at level N and holds B[N,0..n_max]."""
+    params = _require("recurrence", N, r, n_max)
     series_polys = _table("hb_higher_polys_series", N, r, n_max).polys
     rec_polys = hb_higher_polys_recurrence(N, r, n_max, numbers=numbers).polys
 
@@ -685,8 +690,7 @@ def check_genfun_ode(N: int, order: int) -> VerifyReport:
         t F' = N F - t F - N F^2
 
     verified coefficientwise through the truncation order."""
-    _require("genfun-ode", N, order)
-    params = {"N": N, "order": order}
+    params = _require("genfun-ode", N, order)
     f = series_invert(normalized_denominator(N, order))
     F, t = f.poly, UniPoly((0, 1))
     lhs = PowerSeries.of(t * poly_derivative(F), order)
@@ -701,8 +705,7 @@ def check_logderiv(N: int, r: int, order: int) -> VerifyReport:
 
     compared coefficientwise through the truncation order; the right side
     holds the multiplicative operator's weights, from the number recurrence."""
-    _require("logderiv", N, r, order)
-    params = {"N": N, "r": r, "order": order}
+    params = _require("logderiv", N, r, order)
     a = series_pow(series_invert(normalized_denominator(N, order + 1)), r)
     a_prime = PowerSeries.of(poly_derivative(a.poly), order)  # exact through t^order
     lhs = series_mul(a_prime, series_invert(series_truncate(a, order)))
@@ -721,7 +724,7 @@ def check_appell_basics(N: int, r: int, n_max: int) -> VerifyReport:
     (order 1 only) the weighted zero-mean condition: the (1-x)^(N-1)-weighted
     integral over [0,1] is 1/N at n = 0 and 0 for n > 0.
     """
-    params = {"N": N, "r": r, "n_max": n_max}
+    params = _require("appell", N, r, n_max)
     table = _table("hb_higher_polys_series", N, r, n_max)
     values = [poly_eval(p, 0) for p in hb_higher_polys_recurrence(N, r, n_max).polys]
 

@@ -2,6 +2,7 @@ import dataclasses
 import math
 import operator
 import pickle
+import re
 from fractions import Fraction
 
 import pytest
@@ -83,6 +84,24 @@ def test_constructors_take_exact_coefficients_only(build, bad):
     # a float (even an exact binary one like 0.5) or a string is not coerced
     with pytest.raises(TypeError):
         build(bad)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda v: poly_eval(UniPoly((1, 2)), v),
+        lambda v: bipoly_subst_s(BiPoly(((1, 2), (3,))), v),
+        lambda v: bipoly_shift_s(BiPoly(((1, 2), (3,))), v),
+    ],
+    ids=["poly_eval", "bipoly_subst_s", "bipoly_shift_s"],
+)
+@pytest.mark.parametrize("bad", [0.5, 0.0, "1"])
+def test_scalar_arguments_take_the_constructors_rule(call, bad):
+    # the TypeError UniPoly's constructor raises, not an AttributeError
+    with pytest.raises(TypeError) as want:
+        UniPoly((bad,))
+    with pytest.raises(TypeError, match=re.escape(str(want.value))):
+        call(bad)
 
 
 def test_poly_eval_cases():

@@ -258,6 +258,29 @@ def test_value_at_zero_matches_numbers():
 # --- recurrence path ---------------------------------------------------------
 
 
+def test_recurrence_rejects_bad_args():
+    # a negative top gave a one-entry table, and level 0 with an injected
+    # table a table at level 0
+    with pytest.raises(ValueError, match="order must be nonnegative"):
+        hb_higher_polys_recurrence(1, 1, -1)
+    with pytest.raises(ValueError, match="level N must be >= 1"):
+        hb_higher_polys_recurrence(0, 1, 3, numbers=hb_numbers(1, 4))
+
+
+def test_order_r_builders_state_one_rule():
+    messages = set()
+    for build in (
+        lambda: hb_higher_numbers(1, 0, 3),
+        lambda: hb_higher_polys_recurrence(1, 0, 3),
+        lambda: a_poly(1, 0),
+        lambda: a_poly_at_zero(1, 0),
+    ):
+        with pytest.raises(ValueError) as err:
+            build()
+        messages.add(str(err.value))
+    assert messages == {"order r must be >= 1"}
+
+
 def test_recurrence_single_step_by_hand():
     # (x - 1/2)^2 - (1/6)/2 = x^2 - x + 1/6
     table = hb_higher_polys_recurrence(1, 1, 2)
@@ -314,6 +337,15 @@ def test_order_step_out_of_range():
     base = hb_polys(1, 2)
     with pytest.raises(IndexError):
         hb_order_step(base, 5)
+
+
+def test_index_rule_is_shared():
+    # hb_order_step and mult_operator_apply raise the one IndexError
+    base = hb_polys(1, 2)
+    for apply_at in (hb_order_step, mult_operator_apply):
+        for n in (-1, 3):
+            with pytest.raises(IndexError, match=f"index {n} not covered by table of size 3"):
+                apply_at(base, n)
 
 
 @pytest.mark.parametrize("level,order", [(1, 2), (2, 3), (3, 2)])

@@ -17,6 +17,7 @@ from hyperbern.core import (
     HBNumberTable,
     HBPolyTable,
     a_poly,
+    hb_higher_polys_recurrence,
     hb_higher_polys_series,
     hb_numbers,
     hb_polys,
@@ -393,6 +394,17 @@ def test_sums_sample_needs_points(count):
         check_sums_of_products(2, 3, 6, mode="sample", sample_count=count)
 
 
+@pytest.mark.parametrize(
+    "field,value",
+    [("seed", "x"), ("seed", True), ("seed", 1.5), ("sample_count", True), ("sample_count", 2.5)],
+)
+def test_sums_takes_suite_configs_sampling_rule(field, value):
+    # the check raises SuiteConfig's error: a str or bool seed would seed the
+    # sample, a bool count would walk one point
+    with pytest.raises(ValueError, match=f"{field} must be an int"):
+        check_sums_of_products(1, 2, 3, mode="sample", **{"sample_count": 2, field: value})
+
+
 def test_sums_sample_deterministic_and_replayable():
     a = check_sums_of_products(2, 3, 6, mode="sample", sample_count=16, seed=7)
     b = check_sums_of_products(2, 3, 6, mode="sample", sample_count=16, seed=7)
@@ -674,6 +686,30 @@ def test_ode_detects_perturbation():
     assert replay(rep, fault=(1, 2))
 
 
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: check_ode(2, 1, 4, numbers=hb_numbers(1, 4)),
+        lambda: check_ode(2, 1, 6, numbers=hb_numbers(2, 3)),
+        lambda: check_recurrence_paths(2, 1, 5, numbers=hb_numbers(1, 6)),
+        lambda: hb_higher_polys_recurrence(2, 1, 5, numbers=hb_numbers(1, 6)),
+        lambda: hb_higher_polys_recurrence(2, 1, 5, numbers=hb_numbers(2, 3)),
+    ],
+    ids=["ode-level", "ode-short", "recurrence-level", "route-level", "route-short"],
+)
+def test_injected_table_of_another_level_or_too_short_is_a_usage_error(call):
+    # a usage error, not a counterexample, a silently different table or an IndexError
+    with pytest.raises(ValueError, match=r"numbers must be a level-2 table up to index \d+"):
+        call()
+
+
+def test_injected_table_holding_exactly_the_numbers_read_is_taken():
+    assert hb_higher_polys_recurrence(2, 3, 5, numbers=hb_numbers(2, 5)) == (
+        hb_higher_polys_recurrence(2, 3, 5)
+    )
+    assert check_ode(2, 3, 6, numbers=hb_numbers(2, 6)).status == PASS
+
+
 # --- path agreement ------------------------------------------------------------------
 
 
@@ -742,6 +778,47 @@ def test_logderiv_constant_term():
     a = series_pow(series_invert(normalized_denominator(level, 2)), order_r)
     assert a.coeffs[1] / a.coeffs[0] == Fraction(-order_r, level + 1)
     assert check_logderiv(level, order_r, 5).status == PASS
+
+
+def test_series_checks_match_sympy_series(monkeypatch):
+    # an oracle outside the package: F = (t^N/N!) / (e^t - T_{N-1}(t)), T_{N-1}
+    # the degree-(N-1) Taylor polynomial of e^t, by sympy.series, and
+    # (F^r)'/F^r from it by sympy's ring series; genfun-ode reads F and
+    # logderiv compares the operator weights with (F^r)'/F^r
+    sympy = pytest.importorskip("sympy")
+    from sympy import QQ
+    from sympy.polys.ring_series import rs_mul, rs_pow, rs_series_inversion
+    from sympy.polys.rings import ring
+
+    from hyperbern.algebra import series_invert
+
+    order = 8
+    _, gen = ring("t", QQ)
+
+    def coeffs(s):
+        # [t^0..t^order] of a ring series, as Fractions
+        values = (s.get((k,), QQ(0)) for k in range(order + 1))
+        return tuple(Fraction(int(c.numerator), int(c.denominator)) for c in values)
+
+    compared = []
+    exact_report = identities._series_report
+
+    def recorded(name, params, lhs, rhs):
+        compared.append(rhs)
+        return exact_report(name, params, lhs, rhs)
+
+    monkeypatch.setattr(identities, "_series_report", recorded)
+    t = sympy.Symbol("t")
+    for N in range(1, 4):
+        taylor = sum(t**j / sympy.factorial(j) for j in range(N))
+        gf = t**N / sympy.factorial(N) / (sympy.exp(t) - taylor)
+        f = gen.ring(sympy.series(gf, t, 0, order + 2).removeO())  # exact through t^(order+1)
+        assert series_invert(normalized_denominator(N, order)).coeffs == coeffs(f), N
+        for r in range(1, 4):
+            g = rs_pow(f, r, gen, order + 2)
+            logderiv = rs_mul(g.diff(gen), rs_series_inversion(g, gen, order + 1), gen, order + 1)
+            assert check_logderiv(N, r, order).status == PASS
+            assert compared.pop().coeffs == coeffs(logderiv), (N, r)
 
 
 def bump_series_invert(monkeypatch, k):
