@@ -22,9 +22,9 @@ import itertools
 import json
 import os
 import sys
-from contextlib import nullcontext
 from dataclasses import asdict, dataclass
 from datetime import datetime, timezone
+from typing import TextIO
 
 import click
 
@@ -224,9 +224,11 @@ def _output_options(default_format: str):
             show_default=True,
             help="Output format.",
         )(f)
+        # opened while the options are parsed, so a path that cannot be opened
+        # is a usage error before anything is computed
         f = click.option(
             "--output",
-            type=click.Path(dir_okay=False, writable=True),
+            type=click.File("w", encoding="utf-8", lazy=False),
             default=None,
             help="Write to a file instead of stdout.",
         )(f)
@@ -240,15 +242,16 @@ def _output_options(default_format: str):
     return wrap
 
 
-def _emit(record: OutputRecord, fmt: str, output: str | None, no_meta: bool) -> None:
+def _emit(record: OutputRecord, fmt: str, output: TextIO | None, no_meta: bool) -> None:
+    # click closes an --output file when the command ends
     render = render_json if fmt == "json" else render_csv
-    with open(output, "w", encoding="utf-8") if output else nullcontext(sys.stdout) as out:
-        try:
-            render(record, out, with_meta=not no_meta)
-            out.flush()
-        except BrokenPipeError:
-            # a reader closed stdout early: keep the exit code, send the final flush to devnull
-            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+    out = output or sys.stdout
+    try:
+        render(record, out, with_meta=not no_meta)
+        out.flush()
+    except BrokenPipeError:
+        # a reader closed stdout early: keep the exit code, send the final flush to devnull
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
 
 
 # the options the table commands share

@@ -217,7 +217,7 @@ def hb_higher_polys_recurrence(
     _check_level_order(N, n_max, r)
     if numbers is not None:
         _check_numbers(numbers, N, n_max)
-    v = _operator_weights(N, r, (numbers or hb_numbers(N, n_max + 1)).values)
+    v = _operator_weights(N, r, (numbers or hb_numbers(N, n_max)).values)
     q = [UniPoly((1,))]
     for n in range(n_max):
         x_q = UniPoly.from_integers((0, *q[n].nums), q[n].den)

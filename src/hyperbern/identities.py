@@ -347,6 +347,19 @@ def _degree_excess(polys, n: int, sides) -> dict | None:
     return None
 
 
+def _run_conv(convs: dict, vectors: list, key: tuple, n: int):
+    """The truncated convolution of the vectors with ids ``key`` and the
+    product of their scales, memoized in ``convs`` under ``key`` and each
+    leading run of it.  ``convs`` holds the empty run, the unit; a run of
+    one is its vector itself, so only longer runs call ``_conv``."""
+    held = convs.get(key)
+    if held is None:
+        conv, m = _run_conv(convs, vectors, key[:-1], n)
+        u, m_u = vectors[key[-1]]
+        held = convs[key] = (_conv(conv, u, n + 1) if len(key) > 1 else u), m * m_u
+    return held
+
+
 def _first_mismatch(polys, n: int, rows, sides):
     """Compare the multinomial sum of the values of polys[0..n] at each point
     of each row with every side polynomial at the point's coordinate sum, in
@@ -365,20 +378,28 @@ def _first_mismatch(polys, n: int, rows, sides):
     n! * dots[j] / scale with integer dots[j].
 
     The sum is symmetric in the points, so everything it needs from a prefix
-    depends only on the prefix's multiset of coordinates.  Each coordinate
-    gets an id when first seen, and a prefix is keyed by its sorted ids.  The
-    truncated convolution of every leading run of a key is memoized, each
-    built from the longest run already held, the empty run being the unit;
-    a row's dots are memoized under its key and its lasts.  So a permuted
-    prefix convolves and dots nothing again, but each of its points is
-    still compared with its own targets.  Every memo is local to the call.
+    depends only on the prefix's multiset of coordinates.  Four memos, each
+    local to the call, hold one relation each:
+
+    - ``ids`` and ``vectors``: a coordinate to its id, given when first
+      seen, and an id to the coordinate's vector and the vector's scale;
+    - ``convs``: a prefix's sorted ids to the truncated convolution of
+      their vectors and its scale, built by :func:`_run_conv` from the
+      longest leading run held;
+    - ``row_dots``: (sorted ids, lasts) to the row's dots and their scale,
+      each dot the prefix's convolution, read in reverse, against a last
+      coordinate's vector as ``vectors`` holds it;
+    - ``targets``: a scale, then a coordinate sum, to the target.
+
+    So a permuted prefix convolves and dots nothing again, but each of its
+    points is still compared with its own targets.
 
     A point's target is the integer its dot must be for every side to hold,
     or None if no integer is (a side needs a non-integer, or two sides need
     different ones); a point whose dot differs from its target is a
     mismatch.  Targets depend only on the scale and the coordinate sum, so
-    they are memoized under that pair and rows of integer points share them.
-    Fractions are built only for the counterexample.
+    rows of integer points share them.  Fractions are built only for the
+    counterexample.
 
     Returns the number of points checked and the first (point, lhs, side
     values) in walk order where some side differs, or None.  The tests pin
@@ -394,20 +415,20 @@ def _first_mismatch(polys, n: int, rows, sides):
     ids: dict = {}  # coordinate -> its id, an index into vectors
     vectors: list = []  # id -> (the coordinate's vector, the vector's scale)
 
-    def ident(x) -> int:
-        # x's id, its vector built on first sight
-        i = ids.get(x)
-        if i is None:
-            a, b = x.numerator, x.denominator
-            a_pows, b_pows = (
-                list(itertools.accumulate(itertools.repeat(c, n), operator.mul, initial=1))
-                for c in (a, b)
-            )
-            powers = list(map(operator.mul, a_pows, reversed(b_pows)))  # a^k b^(n-k)
-            u = [f * sum(map(operator.mul, coeffs, powers)) for coeffs, f in zip(int_coeffs, fall)]
-            i = ids[x] = len(vectors)
-            vectors.append((u, d * fact_n * b_pows[-1]))
-        return i
+    def idents(xs) -> list[int]:
+        # the ids of the coordinates xs, each vector built on first sight
+        for x in xs:
+            if x not in ids:
+                a, b = x.numerator, x.denominator
+                a_pows, b_pows = (
+                    list(itertools.accumulate(itertools.repeat(c, n), operator.mul, initial=1))
+                    for c in (a, b)
+                )
+                powers = list(map(operator.mul, a_pows, reversed(b_pows)))  # a^k b^(n-k)
+                u = [f * sum(map(operator.mul, coeffs, powers)) for coeffs, f in zip(int_coeffs, fall)]
+                ids[x] = len(vectors)
+                vectors.append((u, d * fact_n * b_pows[-1]))
+        return [ids[x] for x in xs]
 
     int_sides = [(side.nums, side.den) for side in sides]
 
@@ -424,33 +445,18 @@ def _first_mismatch(polys, n: int, rows, sides):
         return needed.pop() if len(needed) == 1 else None
 
     convs: dict = {(): ([1] + [0] * n, 1)}  # sorted ids -> (convolution, scale)
-    by_lasts: dict = {}  # lasts -> (reversed vectors, their scale, {sorted ids -> (dots, scale)})
+    row_dots: dict = {}  # (sorted ids, lasts) -> (dots, scale)
     targets: dict = {}  # scale -> {coordinate sum -> target}
     checked = 0
     for prefix, lasts in rows:
-        key = tuple(sorted(map(ident, prefix)))
-        held = by_lasts.get(lasts)
-        if held is None:
-            last_ids = [ident(x) for x in lasts]
-            revs = [vectors[i][0][::-1] for i in last_ids]
-            held = by_lasts[lasts] = revs, vectors[last_ids[0]][1], {}
-        revs, m, row_dots = held
-        memo = row_dots.get(key)
+        key = tuple(sorted(idents(prefix)))
+        memo = row_dots.get((key, lasts))
         if memo is None:
-            if key not in convs:
-                # extend the longest leading run held, memoizing each longer one
-                j = len(key) - 1
-                while key[:j] not in convs:
-                    j -= 1
-                conv, m_total = convs[key[:j]]
-                for j in range(j, len(key)):
-                    u, m_j = vectors[key[j]]
-                    # the unit convolved with a vector is that vector
-                    conv = _conv(conv, u, n + 1) if j else u
-                    m_total *= m_j
-                    convs[key[: j + 1]] = conv, m_total
-            conv, m_total = convs[key]
-            memo = row_dots[key] = [sum(map(operator.mul, conv, rev)) for rev in revs], m_total * m
+            conv, m = _run_conv(convs, vectors, key, n)
+            rev = conv[::-1]  # dots[j] = sum_k conv[n-k] u_j[k], u_j the vector of lasts[j]
+            last_vectors = [vectors[i] for i in idents(lasts)]
+            dots = [sum(map(operator.mul, rev, u)) for u, _ in last_vectors]
+            memo = row_dots[key, lasts] = dots, m * last_vectors[0][1]
         dots, scale = memo
         x0 = sum(prefix)
         at = targets.setdefault(scale, {})  # coordinate sum -> target, at this scale

@@ -9,6 +9,7 @@ from pathlib import Path
 import pytest
 from click.testing import CliRunner
 
+import hyperbern.cli as cli_module
 from hyperbern.cli import (
     OutputRecord,
     cli,
@@ -482,3 +483,44 @@ def test_output_to_file(runner, tmp_path):
     assert res.exit_code == 0
     assert res.output == ""
     assert target.read_text() == "n,value\n0,1\n1,-1/2\n2,1/6\n"
+
+
+# one command line per command, the last one with a failing cell
+_OUTPUT_COMMANDS = [
+    pytest.param(args, exit_code, id=args[0])
+    for args, exit_code in [
+        (("numbers", "--N", "2", "--max-n", "6"), 0),
+        (("polys", "--N", "2", "--r", "3", "--max-n", "5", "--format", "json"), 0),
+        (("apoly", "--N", "2", "--r", "3", "--subst-s", "-5/2"), 0),
+        (("verify", "--suite", "recurrence", "--N-max", "1", "--r-max", "2", "--n-max", "4",
+          "--inject-fault", "1,2"), 1),
+    ]
+]
+
+
+@pytest.mark.parametrize("args,exit_code", _OUTPUT_COMMANDS)
+def test_output_file_receives_the_bytes_stdout_gets(runner, tmp_path, args, exit_code):
+    target = tmp_path / "out"
+    to_stdout = invoke(runner, *args, "--no-meta")
+    to_file = invoke(runner, *args, "--no-meta", "--output", str(target))
+    assert (to_stdout.exit_code, to_file.exit_code) == (exit_code, exit_code)
+    assert to_file.stdout_bytes == b""
+    assert target.read_bytes() == to_stdout.stdout_bytes != b""
+
+
+@pytest.mark.parametrize("args,exit_code", _OUTPUT_COMMANDS)
+def test_output_path_that_cannot_be_opened_is_a_usage_error(
+    runner, monkeypatch, tmp_path, args, exit_code
+):
+    # a usage error naming the path, raised while the options are parsed:
+    # no table is built and no cell runs first
+    computed = []
+    for name in ("hb_numbers", "hb_higher_polys_series", "a_poly", "run_suite"):
+        monkeypatch.setattr(cli_module, name, lambda *a, name=name: computed.append(name))
+    target = tmp_path / "missing" / "out"
+    res = invoke(runner, *args, "--no-meta", "--output", str(target))
+    assert res.exit_code == 2
+    assert isinstance(res.exception, SystemExit)  # no traceback
+    assert f"'{target}'" in res.output
+    assert computed == []
+    assert not target.parent.exists()

@@ -267,6 +267,23 @@ def test_recurrence_rejects_bad_args():
         hb_higher_polys_recurrence(0, 1, 3, numbers=hb_numbers(1, 4))
 
 
+@pytest.mark.parametrize("n_max", [0, 1, 5])
+def test_recurrence_builds_numbers_only_up_to_the_last_it_reads(monkeypatch, n_max):
+    # step n reads B[N, n+1], so B[N, n_max] is the last: a table up to
+    # n_max + 1 would cost one needless step of the number recurrence
+    tops = []
+    build = core.hb_numbers
+
+    def recorded(N, top):
+        tops.append(top)
+        return build(N, top)
+
+    monkeypatch.setattr(core, "hb_numbers", recorded)
+    table = hb_higher_polys_recurrence(2, 3, n_max)
+    assert tops == [n_max]
+    assert table == hb_higher_polys_recurrence(2, 3, n_max, numbers=build(2, n_max + 1))
+
+
 def test_order_r_builders_state_one_rule():
     messages = set()
     for build in (

@@ -278,6 +278,16 @@ def test_walk_work_is_pinned(monkeypatch, call, n, walks, convs, dots):
     assert counts["map sums"] - walks * coordinates * (n + 1) == dots
 
 
+def test_kamano_walk_work_is_pinned(monkeypatch):
+    # the one point (0, 0, 0, 0): its prefix's key (0, 0, 0) repeats one id,
+    # whose leading runs of two and three are convolved once each, then one
+    # dot; the coordinate 0 takes one sum per number B_0..B_10
+    rep, counts = _walk_work(monkeypatch, lambda: check_kamano(2, 4, 10))
+    assert rep.status == PASS
+    assert counts["convs"] == 2
+    assert counts["map sums"] - 11 == 1
+
+
 def test_walk_leaves_no_cyclic_garbage():
     # every memo is a local of its call, freed by refcount on return
     polys = hb_polys(2, 6).polys
@@ -633,6 +643,93 @@ def test_two_three_verdict_matches_sympy_difference(monkeypatch, bumped):
     if bumped:
         assert rep.cells_checked == 2
         assert (rep.counterexample["fold"], rep.counterexample["x_points"]) == (2, ["0", "1"])
+
+
+# --- the proof argument against sympy ---------------------------------------------
+#
+# Each perturbation keeps the degree premise, so only the grid or lattice walk
+# can reject it: a check must fail exactly when sympy's expanded difference of
+# the perturbed identity is nonzero, at a point past the premise.
+
+
+def _sums_grid_matches_sympy(N, r, n, direct, collapsed, closed):
+    """Whether sympy's difference of the sums sides is nonzero, after
+    asserting that grid-mode ``sums`` fails, past its premise, exactly then."""
+    sympy = pytest.importorskip("sympy")
+    nonzero = any(sympy.expand(side - collapsed) != 0 for side in (direct, closed))
+    rep = check_sums_of_products(N, r, n, mode="grid")
+    assert rep.cells_checked > 0
+    assert (rep.status == FAIL) == nonzero
+    return nonzero
+
+
+@pytest.mark.parametrize(
+    "N,r,n,i,k",
+    [(1, 2, 3, 2, 0), (1, 2, 3, 1, 1), (2, 3, 5, 4, 4), (2, 3, 5, 3, 1), (1, 1, 3, 3, 2)],
+)
+def test_table_bump_verdicts_match_sympy(monkeypatch, N, r, n, i, k):
+    # x^k on p_i with k <= i reaches both the sums grid and the two-three
+    # lattice; the lattice's verdict names the first fold whose difference
+    # is nonzero (at level 1, n = 3, a raised constant on p_2 passes fold 2)
+    sympy = pytest.importorskip("sympy")
+    _bump_poly(monkeypatch, i, coeff=k)
+    polys1 = list(hb_polys_sympy(N, 1, n))
+    polys1[i] += sympy.Symbol("x") ** k
+    assert _sums_grid_matches_sympy(N, r, n, *_sums_sides_sympy(N, r, n, polys1))
+    failing = [fold for fold, d in _two_three_differences_sympy(N, n, polys1).items() if d != 0]
+    rep = check_two_three_sums(N, n)
+    assert rep.cells_checked > 0
+    assert (rep.status == FAIL) == bool(failing)
+    if failing:
+        assert rep.counterexample["fold"] == failing[0]
+
+
+@pytest.mark.parametrize(
+    "N,r,n,i,a,b,nonzero",
+    [(1, 2, 3, 1, 1, 0, True), (1, 2, 3, 0, 0, 1, True), (2, 3, 5, 2, 1, 0, True),
+     # s = 1 + N(r-1) - n is 0 at (2, 3, 5), so a power of s changes no value
+     (2, 3, 5, 2, 2, 1, False), (2, 3, 5, 0, 0, 1, False)],
+)
+def test_a_poly_bump_verdict_matches_sympy(monkeypatch, N, r, n, i, a, b, nonzero):
+    # x^a s^b with a <= i on the entry A_r(i), here and on sympy's side
+    sympy = pytest.importorskip("sympy")
+    exact = identities.a_poly
+
+    def bumped(N, r):
+        table = exact(N, r)
+        rows = list(table.entries[i].rows)
+        rows += [UniPoly()] * (a + 1 - len(rows))
+        rows[a] = rows[a] + UniPoly((0,) * b + (1,))
+        entries = table.entries[:i] + (BiPoly(tuple(rows)),) + table.entries[i + 1:]
+        return replace(table, entries=entries)
+
+    monkeypatch.setattr(identities, "a_poly", bumped)
+    x, s = sympy.symbols("x s")
+    polys1 = hb_polys_sympy(N, 1, n)
+    direct, collapsed, closed = _sums_sides_sympy(N, r, n, polys1)
+    total = sum(sympy.symbols(f"x_1:{r + 1}"))
+    delta = (x**a * s**b).subs({x: total, s: 1 + N * (r - 1) - n})
+    weight = sympy.Rational((-1) ** i * math.perm(n, i), N ** (r - 1))
+    closed += weight * delta * polys1[n - i].subs(x, total)
+    assert _sums_grid_matches_sympy(N, r, n, direct, collapsed, closed) == nonzero
+
+
+@pytest.mark.parametrize("N,r,n,k,c", [(1, 2, 3, 0, "1"), (2, 3, 5, 5, "-1/3"), (1, 1, 3, 2, "2")])
+def test_collapsed_side_bump_verdict_matches_sympy(monkeypatch, N, r, n, k, c):
+    # c x^k on the collapsed side's p_n, k <= n; two-three does not read it
+    sympy = pytest.importorskip("sympy")
+    exact = identities.hb_higher_polys_series
+
+    def bumped(N, r, top):
+        table = exact(N, r, top)
+        bumped_top = table.polys[top] + Fraction(c) * UniPoly((0,) * k + (1,))
+        return replace(table, polys=table.polys[:top] + (bumped_top,))
+
+    monkeypatch.setattr(identities, "hb_higher_polys_series", bumped)
+    direct, collapsed, closed = _sums_sides_sympy(N, r, n, hb_polys_sympy(N, 1, n))
+    collapsed += sympy.Rational(c) * sum(sympy.symbols(f"x_1:{r + 1}")) ** k
+    assert _sums_grid_matches_sympy(N, r, n, direct, collapsed, closed)
+
 
 def test_two_fold_reproduces_euler_identity():
     # at level 1 and x = 0 the two-fold form becomes the classical
