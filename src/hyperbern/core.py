@@ -204,10 +204,13 @@ def hb_higher_polys_recurrence(
     touched, so this path is independent of hb_higher_polys_series.  Divided
     by n!, with q_n = p_n/n! and the operator's weights v_j, a step reads
 
-        (n+1) q_{n+1} = x q_n + sum_{k<=n} v_{n-k} q_k,
+        (n+1) q_{n+1} = M q_n = x q_n + sum_{k<=n} v_{n-k} q_k.
 
-    whose weights are built once: it is one :func:`poly_combination` of
-    q_0..q_n, divided by n+1, and p_n = n! q_n.  Step n touches O(n^2)
+    The sequence built this way satisfies D q_{n+1} = q_n for any weights
+    (induction on the step), so q_n, q_{n-1}, ..., q_0 are the derivatives of
+    q_n, and a step is :func:`_apply_operator` on them: one
+    :func:`poly_combination` and no differentiation, divided by n+1.  The
+    weights are built once, and p_n = n! q_n.  Step n touches O(n^2)
     coefficients, so the table costs O(n_max^3) integer operations (on
     numbers that grow with n).  ValueError unless N >= 1, r >= 1 and
     n_max >= 0.  An explicit ``numbers`` table may be injected (used for
@@ -220,9 +223,7 @@ def hb_higher_polys_recurrence(
     v = _operator_weights(N, r, (numbers or hb_numbers(N, n_max)).values)
     q = [UniPoly((1,))]
     for n in range(n_max):
-        x_q = UniPoly.from_integers((0, *q[n].nums), q[n].den)
-        terms = [(1, x_q)] + [(v[n - k], q[k]) for k in range(n + 1)]
-        q.append(poly_combination(terms) / (n + 1))
+        q.append(_apply_operator(reversed(q), v) / (n + 1))
     polys = tuple(math.factorial(n) * p for n, p in enumerate(q))
     return HBPolyTable(N=N, r=r, polys=polys)
 
@@ -312,18 +313,29 @@ def _operator_weights(N: int, r: int, values) -> list[Fraction]:
     return [Fraction(-r, N + 1), *weights]
 
 
-def _apply_operator(p: UniPoly, weights) -> UniPoly:
-    """x p + sum_j v_j D^j p, by exact repeated differentiation."""
-    terms = [(1, UniPoly.from_integers((0, *p.nums), p.den))]
-    for v in weights:
-        terms.append((v, p))
+def _derivatives(p: UniPoly):
+    """p, D p, D^2 p, ... without end, each derivative taken when it is read."""
+    while True:
+        yield p
         p = poly_derivative(p)
-    return poly_combination(terms)
+
+
+def _apply_operator(derivatives, weights) -> UniPoly:
+    """M p = x p + sum_j v_j D^j p, the one statement of M: ``derivatives``
+    yields D^0 p = p, D^1 p, ... in order and is read once per weight, so a
+    caller that holds them passes them (the recurrence route) and one that
+    does not passes :func:`_derivatives` of p (``mult_operator_apply``, the
+    ``ode`` check).  One :func:`poly_combination`."""
+    terms = list(zip(weights, derivatives))
+    p = terms[0][1]
+    return poly_combination([(1, UniPoly.from_integers((0, *p.nums), p.den)), *terms])
 
 
 def mult_operator_apply(table: HBPolyTable, n: int) -> UniPoly:
     """The index-raising operator M of :func:`_operator_weights` applied to
-    table.polys[n]; the result must equal table.polys[n+1] (the tests assert it)."""
+    table.polys[n] through :func:`_apply_operator`, the code of the recurrence
+    route and the ``ode`` check; the result must equal table.polys[n+1] (the
+    tests assert it)."""
     _check_index(table, n)
     weights = _operator_weights(table.N, table.r, hb_numbers(table.N, n + 1).values)
-    return _apply_operator(table.polys[n], weights)
+    return _apply_operator(_derivatives(table.polys[n]), weights)

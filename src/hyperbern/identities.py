@@ -52,6 +52,7 @@ from .core import (
     HBPolyTable,
     _apply_operator,
     _check_numbers,
+    _derivatives,
     _operator_weights,
     a_poly,
     a_poly_at_zero,
@@ -623,8 +624,9 @@ def check_ode(N: int, r: int, n: int, numbers: HBNumberTable | None = None) -> V
 
         sum_{k=2..n} B[N,k]/k! y^(k) - (x/(rN) - 1/(N(N+1))) y' + (n/(rN)) y = 0
 
-    that is, -(M y' - n y)/(rN) = 0 exactly, with the operator M that
-    ``mult_operator_apply`` runs and y from the series route.  A ``numbers``
+    that is, -(M y' - n y)/(rN) = 0 exactly, with y from the series route
+    and M from the code that the recurrence route steps by, here applied to
+    the differentiation chain of y'.  A ``numbers``
     table may be injected for fault testing; ``ValueError`` unless it is at
     level N and holds B[N,0..n], the numbers M's weights read.  Requires
     n >= 1.
@@ -634,7 +636,7 @@ def check_ode(N: int, r: int, n: int, numbers: HBNumberTable | None = None) -> V
         _check_numbers(numbers, N, n)
     values = (numbers or _table("hb_numbers", N, n)).values
     y = _table("hb_higher_polys_series", N, r, n).polys[n]
-    m_yp = _apply_operator(poly_derivative(y), _operator_weights(N, r, values))
+    m_yp = _apply_operator(_derivatives(poly_derivative(y)), _operator_weights(N, r, values))
     residual = poly_combination(((Fraction(-1, r * N), m_yp), (Fraction(n, r * N), y)))
 
     if residual.is_zero:

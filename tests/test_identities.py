@@ -1135,6 +1135,13 @@ def _bump_a1(table, N, r):
     return replace(table, entries=(table.entries[0], a1, *table.entries[2:]))
 
 
+def _bump_first_derivative(chain):
+    """The differentiation chain p, D p, ... with D p raised by 1."""
+    yield next(chain)
+    yield next(chain) + _ONE
+    yield from chain
+
+
 # each independent route, one small break of its result, and the suites that
 # must fail when it is broken (measured on the default run and on this one)
 _ROUTE_BREAKS = {
@@ -1171,7 +1178,11 @@ _ROUTE_BREAKS = {
         lambda weights, N, r, values: _bump(weights, 3, 1),
         {"appell", "logderiv", "ode", "recurrence"},
     ),
-    "_apply_operator": (lambda p, q, weights: p + _ONE, {"ode"}),
+    "_apply_operator": (
+        lambda p, derivatives, weights: p + _ONE,
+        {"appell", "ode", "recurrence"},
+    ),
+    "_derivatives": (lambda chain, p: _bump_first_derivative(chain), {"ode"}),
 }
 
 
