@@ -348,16 +348,17 @@ def _degree_excess(polys, n: int, sides) -> dict | None:
     return None
 
 
-def _run_conv(convs: dict, vectors: list, key: tuple, n: int):
+def _run_conv(convs: dict, key: tuple, n: int):
     """The truncated convolution of the vectors with ids ``key`` and the
     product of their scales, memoized in ``convs`` under ``key`` and each
-    leading run of it.  ``convs`` holds the empty run, the unit; a run of
-    one is its vector itself, so only longer runs call ``_conv``."""
+    leading run of it.  ``convs`` holds the empty run, the unit, and each
+    coordinate's vector as its run of one, so only longer runs are built,
+    each by one ``_conv`` of its leading run with its last vector."""
     held = convs.get(key)
     if held is None:
-        conv, m = _run_conv(convs, vectors, key[:-1], n)
-        u, m_u = vectors[key[-1]]
-        held = convs[key] = (_conv(conv, u, n + 1) if len(key) > 1 else u), m * m_u
+        conv, m = _run_conv(convs, key[:-1], n)
+        u, m_u = convs[key[-1:]]
+        held = convs[key] = _conv(conv, u, n + 1), m * m_u
     return held
 
 
@@ -382,18 +383,18 @@ def _first_mismatch(polys, n: int, rows, sides):
     depends only on the prefix's multiset of coordinates.  Four memos, each
     local to the call, hold one relation each:
 
-    - ``ids`` and ``vectors``: a coordinate to its id, given when first
-      seen, and an id to the coordinate's vector and the vector's scale;
+    - ``ids``: a coordinate to its id, given when first seen;
     - ``convs``: a prefix's sorted ids to the truncated convolution of
       their vectors and its scale, built by :func:`_run_conv` from the
-      longest leading run held;
-    - ``row_dots``: (sorted ids, lasts) to the row's dots and their scale,
-      each dot the prefix's convolution, read in reverse, against a last
-      coordinate's vector as ``vectors`` holds it;
+      longest leading run held; a coordinate's own vector and its scale are
+      held here as its run of one, ``(id,)``;
+    - ``passed``: the (sorted ids, lasts) of the rows that have passed;
     - ``targets``: a scale, then a coordinate sum, to the target.
 
-    So a permuted prefix convolves and dots nothing again, but each of its
-    points is still compared with its own targets.
+    A row's dots, its scale and its coordinate sums, and so its targets, are
+    all functions of its (sorted ids, lasts), so a row whose (sorted ids,
+    lasts) has passed passes again: it is counted and compares nothing.  A
+    row that fails ends the walk, so each distinct row is compared once.
 
     A point's target is the integer its dot must be for every side to hold,
     or None if no integer is (a side needs a non-integer, or two sides need
@@ -413,11 +414,12 @@ def _first_mismatch(polys, n: int, rows, sides):
     d = math.lcm(*(p.den for p in polys))
     int_coeffs = [[c * (d // p.den) for c in p.nums] for p in polys]
     fall = [fact_n // math.factorial(i) for i in range(n + 1)]
-    ids: dict = {}  # coordinate -> its id, an index into vectors
-    vectors: list = []  # id -> (the coordinate's vector, the vector's scale)
+    ids: dict = {}  # coordinate -> its id
+    convs: dict = {(): ([1] + [0] * n, 1)}  # sorted ids -> (convolution, scale)
 
     def idents(xs) -> list[int]:
-        # the ids of the coordinates xs, each vector built on first sight
+        # the ids of the coordinates xs, each vector built on first sight and
+        # held in convs as its run of one
         for x in xs:
             if x not in ids:
                 a, b = x.numerator, x.denominator
@@ -427,8 +429,8 @@ def _first_mismatch(polys, n: int, rows, sides):
                 )
                 powers = list(map(operator.mul, a_pows, reversed(b_pows)))  # a^k b^(n-k)
                 u = [f * sum(map(operator.mul, coeffs, powers)) for coeffs, f in zip(int_coeffs, fall)]
-                ids[x] = len(vectors)
-                vectors.append((u, d * fact_n * b_pows[-1]))
+                i = ids[x] = len(ids)
+                convs[i,] = u, d * fact_n * b_pows[-1]
         return [ids[x] for x in xs]
 
     int_sides = [(side.nums, side.den) for side in sides]
@@ -445,25 +447,25 @@ def _first_mismatch(polys, n: int, rows, sides):
             needed.add(None if rem else q)
         return needed.pop() if len(needed) == 1 else None
 
-    convs: dict = {(): ([1] + [0] * n, 1)}  # sorted ids -> (convolution, scale)
-    row_dots: dict = {}  # (sorted ids, lasts) -> (dots, scale)
+    passed: set = set()  # (sorted ids, lasts) of the rows that passed
     targets: dict = {}  # scale -> {coordinate sum -> target}
     checked = 0
     for prefix, lasts in rows:
         key = tuple(sorted(idents(prefix)))
-        memo = row_dots.get((key, lasts))
-        if memo is None:
-            conv, m = _run_conv(convs, vectors, key, n)
-            rev = conv[::-1]  # dots[j] = sum_k conv[n-k] u_j[k], u_j the vector of lasts[j]
-            last_vectors = [vectors[i] for i in idents(lasts)]
-            dots = [sum(map(operator.mul, rev, u)) for u, _ in last_vectors]
-            memo = row_dots[key, lasts] = dots, m * last_vectors[0][1]
-        dots, scale = memo
+        if (key, lasts) in passed:
+            checked += len(lasts)
+            continue
+        conv, m = _run_conv(convs, key, n)
+        rev = conv[::-1]  # dots[j] = sum_k conv[n-k] u_j[k], u_j the vector of lasts[j]
+        last_vectors = [convs[i,] for i in idents(lasts)]
+        dots = [sum(map(operator.mul, rev, u)) for u, _ in last_vectors]
+        scale = m * last_vectors[0][1]
         x0 = sum(prefix)
         at = targets.setdefault(scale, {})  # coordinate sum -> target, at this scale
         sums = [x0 + x for x in lasts]
         wanted = [at[s] if s in at else at.setdefault(s, target(s, scale)) for s in sums]
         if dots == wanted:
+            passed.add((key, lasts))
             checked += len(dots)
             continue
         j = next(j for j, (dot, want) in enumerate(zip(dots, wanted)) if dot != want)
@@ -725,10 +727,12 @@ def check_appell_basics(N: int, r: int, n_max: int) -> VerifyReport:
     """Structural Appell-sequence properties of the order-r table.
 
     Bundles: the derivative chain (the p-th derivative of index n equals
-    n!/(n-p)! times index n-p, for all 0 <= p <= n), monicity with the exact
-    degree, value at zero against the constant term of the recurrence route
-    (the series table takes its constant terms from the order-r numbers, so
-    comparing with those would compare the series route with itself), and
+    n!/(n-p)! times index n-p, for all 0 <= p <= n, with D^p read from
+    ``core._derivatives``, the chain the ``ode`` check passes to M),
+    monicity with the exact degree, value at zero against the constant term
+    of the recurrence route (the series table takes its constant terms from
+    the order-r numbers, so comparing with those would compare the series
+    route with itself), and
     (order 1 only) the weighted zero-mean condition: the (1-x)^(N-1)-weighted
     integral over [0,1] is 1/N at n = 0 and 0 for n > 0.
     """
@@ -754,9 +758,7 @@ def check_appell_basics(N: int, r: int, n_max: int) -> VerifyReport:
                 poly_value=format_rational(poly_eval(p, 0)),
                 number=format_rational(values[n]),
             )
-        dp = p
-        for step in range(1, n + 1):
-            dp = poly_derivative(dp)
+        for step, dp in enumerate(itertools.islice(_derivatives(p), 1, n + 1), 1):
             expect = math.perm(n, step) * table.polys[n - step]
             checked += 1
             if dp != expect:

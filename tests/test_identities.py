@@ -235,8 +235,9 @@ def test_walk_rejects_a_table_past_its_degree_premise(x):
 
 def _walk_work(monkeypatch, call):
     """The report of ``call()``, with counts of its ``_conv`` calls and of the
-    sums over a map in ``identities``: the walk's dot products and the
-    entries of its coordinate vectors."""
+    sums over a map in ``identities`` (the walk's dot products and the
+    entries of its coordinate vectors) and over a tuple (one per row the walk
+    compares, the sum of its prefix)."""
     counts = Counter()
     conv = identities._conv
 
@@ -246,6 +247,7 @@ def _walk_work(monkeypatch, call):
 
     def counted_sum(values, *start):
         counts["map sums"] += isinstance(values, map)
+        counts["tuple sums"] += isinstance(values, tuple)
         return sum(values, *start)
 
     monkeypatch.setattr(identities, "_conv", counted_conv)
@@ -286,6 +288,18 @@ def test_kamano_walk_work_is_pinned(monkeypatch):
     assert rep.status == PASS
     assert counts["convs"] == 2
     assert counts["map sums"] - 11 == 1
+
+
+@pytest.mark.parametrize("fold,n,multisets", [(4, 10, math.comb(13, 3)), (5, 5, math.comb(9, 4))])
+def test_walk_compares_each_distinct_row_once(monkeypatch, fold, n, multisets):
+    # a full product grid walks every permutation of each prefix with the same
+    # last coordinates; only the first row of each multiset is compared
+    polys = hb_polys(2, n).polys
+    rows = [(prefix, range(n + 1)) for prefix in itertools.product(range(n + 1), repeat=fold - 1)]
+    sides = [hb_higher_polys_series(2, fold, n).polys[n]]
+    got, counts = _walk_work(monkeypatch, lambda: _first_mismatch(polys, n, rows, sides))
+    assert got == ((n + 1) ** fold, None)
+    assert counts["tuple sums"] == multisets
 
 
 def test_walk_leaves_no_cyclic_garbage():
@@ -1182,7 +1196,14 @@ _ROUTE_BREAKS = {
         lambda p, derivatives, weights: p + _ONE,
         {"appell", "ode", "recurrence"},
     ),
-    "_derivatives": (lambda chain, p: _bump_first_derivative(chain), {"ode"}),
+    "_derivatives": (lambda chain, p: _bump_first_derivative(chain), {"appell", "ode"}),
+    # the multinomial walk's convolutions of two or more vectors: entry 0 of
+    # each raised by its scale, that is by 1 in value
+    "_run_conv": (
+        lambda held, convs, key, n: ([held[0][0] + held[1], *held[0][1:]], held[1])
+        if len(key) > 1 else held,
+        {"kamano", "sums", "two-three"},
+    ),
 }
 
 
