@@ -328,22 +328,13 @@ class BiPoly:
 
 
 def bipoly_subst_s(a: BiPoly, sval: RationalLike) -> UniPoly:
-    """Substitute a rational value for s, leaving a polynomial in x.
-
-    Row i at s = p/q is H_i / (d_i q^deg_i) by :func:`_horner`; the rows are
-    brought over lcm(d_i) q^deg, deg the largest row degree, in integers.
-    TypeError unless sval is an exact scalar."""
+    """Substitute a rational value for s, leaving a polynomial in x: row i
+    is evaluated at sval by :func:`poly_eval` (its one Fraction is the value
+    of x^i's coefficient), and the rows are read back by the ``UniPoly``
+    constructor.  TypeError unless sval is an exact scalar, also for the
+    zero polynomial, which has no rows."""
     _exact(sval)
-    if a.is_zero:
-        return UniPoly()
-    p, q = sval.numerator, sval.denominator
-    top = q ** a.s_degree
-    den = math.lcm(*(row.den for row in a.rows))
-    nums = []
-    for row in a.rows:
-        h, bpow = _horner(row.nums, p, q)
-        nums.append(h * (den // row.den) * (top // bpow))
-    return UniPoly.from_integers(nums, den * top)
+    return UniPoly(tuple(poly_eval(row, sval) for row in a.rows))
 
 
 def bipoly_shift_s(a: BiPoly, offset: RationalLike) -> BiPoly:

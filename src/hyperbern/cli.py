@@ -183,18 +183,6 @@ def parse_csv(text: str) -> list:
 # ---------------------------------------------------------------------------
 
 
-def _serialize_unipoly(p) -> list[str]:
-    # the zero polynomial is written as a single explicit "0"
-    return format_coeffs(p) or ["0"]
-
-
-def _serialize_bipoly(a) -> list[list[str]]:
-    if a.is_zero:
-        return [["0"]]
-    width = a.s_degree + 1
-    return [format_coeffs(row, width) for row in a.rows]
-
-
 def _report_payload(reports) -> list:
     return [
         {
@@ -285,9 +273,8 @@ def numbers(level, max_n, fmt, output, no_meta):
 def polys(level, order_r, max_n, fmt, output, no_meta):
     """Polynomial tables, one row per index with ascending coefficients."""
     table = hb_higher_polys_series(level, order_r, max_n)
-    payload = [
-        {"n": n, "coeffs": _serialize_unipoly(p)} for n, p in enumerate(table.polys)
-    ]
+    # width 1 writes the zero polynomial as one explicit "0"
+    payload = [{"n": n, "coeffs": format_coeffs(p, 1)} for n, p in enumerate(table.polys)]
     record = OutputRecord(
         "polys", {"N": level, "r": order_r, "max_n": max_n}, payload
     )
@@ -313,11 +300,13 @@ def apoly(level, order_r, subst_s, fmt, output, no_meta):
     table = a_poly(level, order_r)
     if subst_s is None:
         payload = [
-            {"i": i, "coeffs_xs": _serialize_bipoly(e)} for i, e in enumerate(table.entries)
+            # a zero entry has no rows and is written as [["0"]]
+            {"i": i, "coeffs_xs": [format_coeffs(row, e.s_degree + 1) for row in e.rows] or [["0"]]}
+            for i, e in enumerate(table.entries)
         ]
     else:
         payload = [
-            {"i": i, "coeffs": _serialize_unipoly(bipoly_subst_s(e, s_val))}
+            {"i": i, "coeffs": format_coeffs(bipoly_subst_s(e, s_val), 1)}
             for i, e in enumerate(table.entries)
         ]
     record = OutputRecord(

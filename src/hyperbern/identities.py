@@ -194,7 +194,10 @@ class SuiteConfig:
     "auto" per cell (see :func:`check_sums_of_products`) and takes these
     defaults as its own.  ``inject_fault``, a pair of ints (N, k) with
     N >= 1 and k >= 2, bumps B[N,k] by +1 in the number table of each cell
-    that reads it (see :func:`_reads_fault`).
+    that reads it (see :func:`_reads_fault`); a list pair, as a run's JSON
+    params write it, is taken as a tuple, so ``SuiteConfig(**params)``
+    rebuilds the run.  ``suites`` is a sequence of suite names, not one
+    string.
     """
 
     suites: tuple[str, ...] = ALL_SUITES
@@ -207,6 +210,8 @@ class SuiteConfig:
     inject_fault: tuple[int, int] | None = None
 
     def __post_init__(self) -> None:
+        if isinstance(self.suites, str):
+            raise ValueError(f"suites must be a sequence of suite names, not the string {self.suites!r}")
         # a suite named twice runs once
         object.__setattr__(self, "suites", tuple(dict.fromkeys(self.suites)))
         unknown = set(self.suites) - set(ALL_SUITES)
@@ -226,9 +231,11 @@ class SuiteConfig:
                 raise ValueError(f"{name} must be an int")
             if None not in (v, low) and v < low:
                 raise ValueError(f"{name} must be >= {low}")
+        # a run's JSON params write the pair as a list
+        fault = tuple(self.inject_fault) if isinstance(self.inject_fault, list) else self.inject_fault
+        object.__setattr__(self, "inject_fault", fault)
         # level 0 is out of domain and perturbed_numbers bumps only k >= 2;
         # reject the pair here rather than midway through the run
-        fault = self.inject_fault
         pair = isinstance(fault, tuple) and [type(v) for v in fault] == [int, int]
         if fault is not None and not (pair and fault[0] >= 1 and fault[1] >= 2):
             raise ValueError("inject_fault (N, k) needs a pair of ints with N >= 1 and k >= 2")
@@ -882,7 +889,8 @@ def replay(report: VerifyReport, fault: tuple[int, int] | None = None) -> bool:
 
     For failed reports this reproduces the counterexample exactly (sampling
     is reseeded from the recorded seed).  ``fault`` must be supplied if the
-    original run injected one.
+    original run injected one, as :class:`SuiteConfig` takes it (the run's
+    JSON ``inject_fault`` list too).
     """
     suite = SUITES.get(report.identity_name)
     if suite is None:

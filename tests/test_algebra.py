@@ -92,8 +92,15 @@ def test_constructors_take_exact_coefficients_only(build, bad):
         lambda v: poly_eval(UniPoly((1, 2)), v),
         lambda v: bipoly_subst_s(BiPoly(((1, 2), (3,))), v),
         lambda v: bipoly_shift_s(BiPoly(((1, 2), (3,))), v),
+        # zero has no coefficients and BiPoly() no rows: the scalar is still checked
+        lambda v: poly_eval(UniPoly(), v),
+        lambda v: bipoly_subst_s(BiPoly(), v),
+        lambda v: bipoly_shift_s(BiPoly(), v),
     ],
-    ids=["poly_eval", "bipoly_subst_s", "bipoly_shift_s"],
+    ids=[
+        "poly_eval", "bipoly_subst_s", "bipoly_shift_s",
+        "poly_eval-zero", "bipoly_subst_s-zero", "bipoly_shift_s-zero",
+    ],
 )
 @pytest.mark.parametrize("bad", [0.5, 0.0, "1"])
 def test_scalar_arguments_take_the_constructors_rule(call, bad):

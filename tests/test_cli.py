@@ -18,6 +18,7 @@ from hyperbern.cli import (
     render_csv,
     render_json,
 )
+from hyperbern.identities import SuiteConfig, VerifyReport, replay
 
 
 @pytest.fixture
@@ -188,6 +189,33 @@ def test_verify_fault_injection_exits_one(runner):
     doc = json.loads(res.output)
     failed = [row for row in doc["data"] if row["status"] == "fail"]
     assert failed and failed[0]["counterexample"] is not None
+
+
+def test_verify_json_params_rebuild_the_config_and_replay_each_failure(runner):
+    # JSON writes the fault pair as a list; SuiteConfig and replay take it back
+    res = invoke(
+        runner,
+        "verify",
+        "--suite", "recurrence",
+        "--N-max", "1",
+        "--r-max", "1",
+        "--n-max", "6",
+        "--inject-fault", "1,2",
+        "--no-meta",
+    )
+    assert res.exit_code == 1
+    record = parse_json(res.output)
+    assert record.params["inject_fault"] == [1, 2]
+    config = SuiteConfig(suites=("recurrence",), N_max=1, r_max=1, n_max=6, inject_fault=(1, 2))
+    assert SuiteConfig(**record.params) == config
+    failed = [row for row in record.payload if row["status"] == "fail"]
+    assert failed
+    for row in failed:
+        report = VerifyReport(
+            row["identity"], row["params"], row["status"], row["cells_checked"],
+            row["counterexample"], row["details"],
+        )
+        assert replay(report, fault=record.params["inject_fault"])
 
 
 def test_verify_rejects_malformed_fault(runner):

@@ -1039,7 +1039,10 @@ def test_suite_empty_level_range():
         SuiteConfig(r_max=0)
 
 
-@pytest.mark.parametrize("fault", [(1, 1), (1, 0), (0, 2), (-1, 3), (1,), (1, 2, 3), (1.0, 2)])
+@pytest.mark.parametrize(
+    "fault",
+    [(1, 1), (1, 0), (0, 2), (-1, 3), (1,), (1, 2, 3), (1.0, 2), [1, 1], [1], [1, 2, 3], [1.0, 2]],
+)
 def test_suite_rejects_out_of_domain_fault(fault):
     # rejected when the config is made, before any cell runs
     with pytest.raises(ValueError, match="inject_fault"):
@@ -1053,6 +1056,20 @@ def test_suite_rejects_non_int_fields(field, value):
     # a float range top would crash the run midway, and the others would run
     with pytest.raises(ValueError, match=f"{field} must be an int"):
         SuiteConfig(suites=("kamano",), **{field: value})
+
+
+def test_suite_takes_a_list_fault_pair_as_a_tuple():
+    # a run's JSON params write the pair as a list
+    cfg = SuiteConfig(suites=("ode",), inject_fault=[1, 2])
+    assert cfg.inject_fault == (1, 2)
+    assert cfg == SuiteConfig(suites=("ode",), inject_fault=(1, 2))
+    assert hash(cfg) == hash(SuiteConfig(suites=("ode",), inject_fault=(1, 2)))
+
+
+def test_suite_rejects_a_bare_string_for_suites():
+    # a string is a sequence of letters, not of suite names
+    with pytest.raises(ValueError, match="not the string 'sums'"):
+        SuiteConfig(suites="sums")
 
 
 def test_suite_rejects_unknown():
@@ -1197,6 +1214,8 @@ _ROUTE_BREAKS = {
         {"appell", "ode", "recurrence"},
     ),
     "_derivatives": (lambda chain, p: _bump_first_derivative(chain), {"appell", "ode"}),
+    # each closed-form entry A_r(i, x; s) at the cell's s, raised by 1
+    "bipoly_subst_s": (lambda p, a, sval: p + _ONE, {"kamano", "sums"}),
     # the multinomial walk's convolutions of two or more vectors: entry 0 of
     # each raised by its scale, that is by 1 in value
     "_run_conv": (
