@@ -6,7 +6,12 @@ coefficientwise comparison, by exhaustive evaluation on an integer grid large
 enough to pin the polynomial (per-variable degree d needs d+1 points per
 variable) or on the principal lattice (total degree d needs the nonnegative
 integer points with coordinate sum at most d), or by seeded random rational
-sample points when the grid would be too large to be worth exhausting.
+sample points when the grid would be too large to be worth exhausting.  The
+comparison at a grid or lattice point does not change when its coordinates
+are permuted, and both point sets are closed under permutation, so each is
+compared at its nondecreasing points only; ``cells_checked`` still counts
+every point of the set, and a failing set is walked in full, so that its
+count and counterexample are those of the whole walk.
 
 Each identity is one row of :data:`SUITES`, the one statement of its check,
 cell layout and precondition: a check called directly on a cell below its
@@ -410,6 +415,11 @@ def _first_mismatch(polys, n: int, rows, sides):
     rows of integer points share them.  Fractions are built only for the
     counterexample.
 
+    Since the comparison at a point depends only on the multiset of its
+    coordinates, the grid and lattice checks pass the rows of their
+    nondecreasing points, and the full rows only for a cell that fails (see
+    :func:`_walk_point_set`).
+
     Returns the number of points checked and the first (point, lhs, side
     values) in walk order where some side differs, or None.  The tests pin
     the walk against brute-force composition enumeration.
@@ -425,10 +435,12 @@ def _first_mismatch(polys, n: int, rows, sides):
     convs: dict = {(): ([1] + [0] * n, 1)}  # sorted ids -> (convolution, scale)
 
     def idents(xs) -> list[int]:
-        # the ids of the coordinates xs, each vector built on first sight and
-        # held in convs as its run of one
+        # the ids of the coordinates xs, each looked up once; a vector is
+        # built on first sight and held in convs as its run of one
+        got = []
         for x in xs:
-            if x not in ids:
+            i = ids.get(x)
+            if i is None:
                 a, b = x.numerator, x.denominator
                 a_pows, b_pows = (
                     list(itertools.accumulate(itertools.repeat(c, n), operator.mul, initial=1))
@@ -438,7 +450,8 @@ def _first_mismatch(polys, n: int, rows, sides):
                 u = [f * sum(map(operator.mul, coeffs, powers)) for coeffs, f in zip(int_coeffs, fall)]
                 i = ids[x] = len(ids)
                 convs[i,] = u, d * fact_n * b_pows[-1]
-        return [ids[x] for x in xs]
+            got.append(i)
+        return got
 
     int_sides = [(side.nums, side.den) for side in sides]
 
@@ -482,6 +495,43 @@ def _first_mismatch(polys, n: int, rows, sides):
     return checked, None
 
 
+def _point_rows(n: int, fold: int, lattice: bool, nondecreasing: bool):
+    """The points of the grid {0..n}^fold, or with ``lattice`` of the
+    principal lattice {a : sum(a) <= n} of that fold, as the rows (prefix,
+    range of last coordinates) of :func:`_first_mismatch`, in lexicographic
+    order; with ``nondecreasing``, only the points a_1 <= ... <= a_fold."""
+    coords = range(n + 1)
+    if nondecreasing:
+        prefixes = itertools.combinations_with_replacement(coords, fold - 1)
+    else:
+        prefixes = itertools.product(coords, repeat=fold - 1)
+    for prefix in prefixes:
+        low = prefix[-1] if nondecreasing and prefix else 0
+        high = n - sum(prefix) if lattice else n
+        if low <= high:
+            yield prefix, range(low, high + 1)
+
+
+def _walk_point_set(polys, n: int, fold: int, sides, lattice: bool = False):
+    """:func:`_first_mismatch` over every point of the grid or lattice of
+    :func:`_point_rows`, comparing only its nondecreasing points unless one
+    of them fails.
+
+    The comparison at a point does not change when its coordinates are
+    permuted, for any table: the dot is [t^n] of the product of the
+    coordinates' vectors and the scale the product of their scales, and the
+    targets depend only on that scale and the coordinate sum.  Both point
+    sets are closed under permutation, so every point passes exactly when
+    every nondecreasing point does, and a pass counts the whole set:
+    (n + 1)^fold points, or C(n + fold, fold).  On a mismatch the whole set
+    is walked in order, so the count and the first mismatch are those of
+    the full walk."""
+    _, mismatch = _first_mismatch(polys, n, _point_rows(n, fold, lattice, True), sides)
+    if mismatch is None:
+        return (math.comb(n + fold, fold) if lattice else (n + 1) ** fold), None
+    return _first_mismatch(polys, n, _point_rows(n, fold, lattice, False), sides)
+
+
 def check_kamano(N: int, r: int, n: int) -> VerifyReport:
     """Number sums-of-products: the multinomial convolution of r level-N
     number sequences against its closed form with x-free coefficient
@@ -517,11 +567,15 @@ def check_sums_of_products(
     collapse to the single order-r polynomial at the summed point.  Both must
     equal the closed form with the bivariate coefficient polynomials.
 
-    grid mode evaluates the full integer grid {0..n}^r, one row of n + 1
-    points per prefix in {0..n}^(r-1): a complete certification once each
-    B_i(x) has degree <= i and both other sides degree <= n, bounds checked
-    first in both modes.  sample mode draws ``sample_count`` seeded rational
-    points with numerator and denominator bounded by 100, kept for replay.
+    grid mode certifies the full integer grid {0..n}^r: a complete
+    certification once each B_i(x) has degree <= i and both other sides
+    degree <= n, bounds checked first in both modes.  Every side is
+    symmetric in the points, so the grid is compared at its nondecreasing
+    points and a pass counts all (n + 1)^r; a failing grid is walked in
+    full, one row of n + 1 points per prefix in {0..n}^(r-1), for its count
+    and first counterexample (see :func:`_walk_point_set`).  sample mode
+    draws ``sample_count`` seeded rational points with numerator and
+    denominator bounded by 100, kept for replay.
     auto mode, :class:`SuiteConfig`'s default like ``sample_count`` and
     ``seed``, takes the grid when it has at most ``GRID_POINT_LIMIT`` points
     and samples otherwise, so a call with the defaults gives the report that
@@ -539,12 +593,11 @@ def check_sums_of_products(
 
     sides = [higher, rhs]
     # the collapsed side and the closed form depend on the point only through
-    # its sum; the direct side is compared at every point, and computed once
-    # per multiset of leading coordinates
+    # its sum, and the direct side is symmetric in the points: it is computed
+    # once per multiset of leading coordinates
     if mode == "grid":
         details = {"mode": "grid"}
-        last = range(n + 1)
-        rows = ((prefix, last) for prefix in itertools.product(last, repeat=r - 1))
+        walk = lambda: _walk_point_set(polys1, n, r, sides)
     else:
         rng = _cell_rng(seed, "sums", N, r, n)
         points = [
@@ -557,10 +610,11 @@ def check_sums_of_products(
             "points": [[format_rational(c) for c in pt] for pt in points],
         }
         rows = ((pt[:-1], pt[-1:]) for pt in points)  # each point a row of its own
+        walk = lambda: _first_mismatch(polys1, n, rows, sides)
     counter = _degree_excess(polys1, n, [("collapsed side", higher), ("closed form", rhs)])
     if counter is not None:
         return VerifyReport("sums", params, FAIL, 0, counterexample=counter, details=details)
-    checked, mismatch = _first_mismatch(polys1, n, rows, sides)
+    checked, mismatch = walk()
     if mismatch is None:
         return VerifyReport("sums", params, PASS, checked, details=details)
     point, lhs_direct, (lhs_collapsed, rhs_val) = mismatch
@@ -590,7 +644,11 @@ def check_two_three_sums(N: int, n: int) -> VerifyReport:
     has degree <= n so is the right side; the lattice is unisolvent for total
     degree <= n (Chung & Yao, SIAM J. Numer. Anal. 14, 1977), so agreement on
     its C(n+f, f) points proves the identity.  Those degree bounds are
-    checked first, and a polynomial past its bound fails the cell.
+    checked first, and a polynomial past its bound fails the cell.  Both
+    sides are symmetric in the points and the lattice is closed under
+    permuting them, so each fold is compared at its nondecreasing points and
+    a pass counts all C(n+f, f); a failing fold is walked in full for its
+    count and first counterexample (see :func:`_walk_point_set`).
     """
     params = _require("two-three", N, n)
     polys1 = _table("hb_polys", N, n).polys
@@ -612,9 +670,7 @@ def check_two_three_sums(N: int, n: int) -> VerifyReport:
 
     checked = 0
     for fold, closed_form in closed_forms.items():
-        prefixes = (a for a in itertools.product(range(n + 1), repeat=fold - 1) if sum(a) <= n)
-        rows = ((prefix, range(n - sum(prefix) + 1)) for prefix in prefixes)
-        fold_checked, mismatch = _first_mismatch(polys1, n, rows, [closed_form])
+        fold_checked, mismatch = _walk_point_set(polys1, n, fold, [closed_form], lattice=True)
         checked += fold_checked
         if mismatch is not None:
             point, lhs, (rhs,) = mismatch
@@ -885,7 +941,8 @@ def run_suite(config: SuiteConfig = SuiteConfig()) -> list[VerifyReport]:
 
 
 def replay(report: VerifyReport, fault: tuple[int, int] | None = None) -> bool:
-    """Re-run the cell a report came from and confirm the identical outcome.
+    """Re-run the cell a report came from and confirm the identical outcome:
+    the same status, ``cells_checked`` and counterexample.
 
     For failed reports this reproduces the counterexample exactly (sampling
     is reseeded from the recorded seed).  ``fault`` must be supplied if the
@@ -899,4 +956,6 @@ def replay(report: VerifyReport, fault: tuple[int, int] | None = None) -> bool:
     d = report.details or {}
     sampling = {key: d[key] for key in ("mode", "sample_count", "seed") if key in d}
     fresh = _check_cell(suite, report.params, SuiteConfig(inject_fault=fault, **sampling))
-    return fresh.status == report.status and fresh.counterexample == report.counterexample
+    return (fresh.status, fresh.cells_checked, fresh.counterexample) == (
+        report.status, report.cells_checked, report.counterexample
+    )

@@ -8,7 +8,7 @@ from dataclasses import replace
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from hyperbern import core, identities
@@ -258,11 +258,13 @@ def _walk_work(monkeypatch, call):
 @pytest.mark.parametrize(
     "call,n,walks,convs,dots",
     [
-        # 66 + 286 multisets of two and three leading coordinates, each
-        # convolved once, and 286 rows of 11 dots (the full grid: 1,452 and 14,641)
-        (lambda: check_sums_of_products(2, 4, 10), 10, 1, 352, 3_146),
-        # fold 3's 121 multisets {a, b} with a + b <= 20 (all pairs: 231 and 2,002)
-        (lambda: check_two_three_sums(2, 20), 20, 2, 121, 1_177),
+        # 66 + 286 sorted prefixes of two and three coordinates, each
+        # convolved once, and one dot per sorted point, C(14, 4) = 1,001
+        # (the full grid: 1,452 and 14,641)
+        (lambda: check_sums_of_products(2, 4, 10), 10, 1, 352, 1_001),
+        # fold 3's 44 sorted prefixes a <= b with a + 2b <= 20, and the 121 +
+        # 358 sorted points of folds 2 and 3 (all points: 231 and 2,002)
+        (lambda: check_two_three_sums(2, 20), 20, 2, 44, 479),
         # every sampled prefix is a multiset of its own: 64 points, 2 convolutions each
         (lambda: check_sums_of_products(2, 4, 16), 16, 1, 128, 64),
     ],
@@ -440,16 +442,17 @@ def test_sums_sample_deterministic_and_replayable():
     assert c.details["points"] != a.details["points"]
 
 
-def _bump_poly(monkeypatch, idx, coeff=-1):
+def _bump_poly(monkeypatch, idx, coeff=-1, amount=1):
     """Make the checks read order-1 tables with one coefficient of polys[idx]
-    raised by 1 (the leading one by default); the order-r tables stay exact."""
+    raised by ``amount`` (the leading one by 1 by default); the order-r
+    tables stay exact."""
     exact = identities.hb_polys
 
     def bumped(N, n):
         table = exact(N, n)
         polys = list(table.polys)
         coeffs = list(polys[idx].coeffs)
-        coeffs[coeff] += 1
+        coeffs[coeff] += amount
         polys[idx] = UniPoly(tuple(coeffs))
         return HBPolyTable(N=table.N, r=table.r, polys=tuple(polys))
 
@@ -489,6 +492,92 @@ def test_grid_failure_paths_are_pinned(monkeypatch, idx, coeff, call, cells, cou
     assert rep.status == FAIL
     assert rep.cells_checked == cells
     assert rep.counterexample == counter
+
+
+@pytest.mark.parametrize(
+    "idx,coeff,call",
+    [(0, -1, lambda: check_sums_of_products(1, 2, 3)), (2, 0, lambda: check_two_three_sums(1, 3))],
+    ids=["sums", "two-three"],
+)
+def test_replay_confirms_the_count(monkeypatch, idx, coeff, call):
+    # a re-run that reaches the same counterexample after another number of
+    # points is not the same outcome
+    _bump_poly(monkeypatch, idx, coeff)
+    rep = call()
+    assert rep.status == FAIL
+    assert replay(rep)
+    for edited in (rep.cells_checked - 1, rep.cells_checked + 1):
+        assert not replay(replace(rep, cells_checked=edited))
+
+
+@pytest.mark.parametrize("lattice", [False, True], ids=["grid", "lattice"])
+def test_point_rows_cover_the_point_sets(lattice):
+    # the full rows hold every point of the set once, in lexicographic order,
+    # and the sorted rows its nondecreasing points, in the same order
+    for n, fold in itertools.product(range(7), range(1, 5)):
+        rows = {
+            sort: [prefix + (x,) for prefix, lasts in identities._point_rows(n, fold, lattice, sort)
+                   for x in lasts]
+            for sort in (False, True)
+        }
+        points = [a for a in itertools.product(range(n + 1), repeat=fold) if not lattice or sum(a) <= n]
+        assert rows[False] == points
+        assert len(points) == (math.comb(n + fold, fold) if lattice else (n + 1) ** fold)
+        assert rows[True] == [a for a in points if list(a) == sorted(a)]
+
+
+def _full_walk(polys, n, fold, sides, lattice=False):
+    """_first_mismatch over every point of the grid {0..n}^fold, or of the
+    principal lattice of that fold, in the rows the checks walked before
+    they compared only sorted points."""
+    prefixes = itertools.product(range(n + 1), repeat=fold - 1)
+    if lattice:
+        rows = [(prefix, range(n - sum(prefix) + 1)) for prefix in prefixes if sum(prefix) <= n]
+    else:
+        rows = [(prefix, range(n + 1)) for prefix in prefixes]
+    return _first_mismatch(polys, n, rows, sides)
+
+
+@st.composite
+def _bumped_cells(draw):
+    # a sums grid cell or a two-three lattice cell, read at an order-1 table
+    # with c x^k on one p_i or none; k <= i keeps the degree premise, so the
+    # walk decides the cell
+    level = draw(st.integers(min_value=1, max_value=3))
+    lattice = draw(st.booleans())
+    if lattice:
+        n = draw(st.integers(min_value=1, max_value=8))
+        cell = level, n
+    else:
+        r = draw(st.integers(min_value=1, max_value=4))
+        cell = level, r, draw(st.integers(min_value=max(r - 1, 0), max_value=6))
+    n = cell[-1]
+    bumps = draw(st.lists(st.tuples(st.integers(0, n), st.integers(0, n), rationals), max_size=1))
+    return lattice, cell, [(i, min(k, i), c) for i, k, c in bumps]
+
+
+@settings(deadline=None, max_examples=60)
+@given(_bumped_cells())
+# the failures that test_grid_failure_paths_are_pinned pins, and two whose
+# first mismatch, (1, 2), comes after an unsorted point, (1, 0)
+@example((False, (1, 2, 3), [(0, 0, 1)]))
+@example((True, (1, 3), [(2, 0, 1)]))
+@example((False, (1, 2, 4), [(1, 1, 1)]))
+@example((True, (1, 4), [(1, 1, 1)]))
+def test_sorted_walk_reports_the_full_walk(case):
+    lattice, cell, bumps = case
+
+    def check():
+        if lattice:
+            return check_two_three_sums(*cell)
+        return check_sums_of_products(*cell, mode="grid")
+
+    with pytest.MonkeyPatch.context() as mp:
+        for i, k, c in bumps:
+            _bump_poly(mp, i, k, c)
+        got = check()
+        mp.setattr(identities, "_walk_point_set", _full_walk)
+        assert got == check()
 
 
 def _sums_sides_sympy(N, r, n, polys1):
