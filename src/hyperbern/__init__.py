@@ -21,7 +21,7 @@ from .core import (
     mult_operator_apply,
     normalized_denominator,
 )
-from .identities import ALL_SUITES, SuiteConfig, VerifyReport, run_suite
+from .suites import ALL_SUITES, SuiteConfig
 
 __version__ = "0.1.0"
 
@@ -49,3 +49,12 @@ __all__ = [
     "ALL_SUITES",
     "run_suite",
 ]
+
+
+def __getattr__(name: str):
+    # the checks load on first use, so that the table commands never compile them
+    if name in ("VerifyReport", "run_suite"):
+        from . import identities
+
+        return getattr(identities, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

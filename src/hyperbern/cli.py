@@ -31,7 +31,7 @@ import click
 from . import __version__
 from .algebra import bipoly_subst_s, format_coeffs, format_rational, parse_rational
 from .core import a_poly, hb_higher_polys_series, hb_numbers
-from .identities import ALL_SUITES, FAIL, MODES, REPORT_PARAMS, SuiteConfig, VacuousRun, run_suite
+from .suites import ALL_SUITES, MODES, REPORT_PARAMS, SuiteConfig
 
 SCHEMA_VERSION = 1
 
@@ -354,6 +354,9 @@ def _parse_fault(_ctx, _param, value):
 @_output_options("json")
 def verify(suites, fmt, output, no_meta, **fields):
     """Certify identities over parameter ranges; exit 1 on any failed cell."""
+    # the checks load here, so that the table commands never compile them
+    from . import identities
+
     # every other option is named after the SuiteConfig field it sets; only the
     # construction is guarded, so a ValueError inside a check stays a crash
     try:
@@ -361,13 +364,13 @@ def verify(suites, fmt, output, no_meta, **fields):
     except ValueError as exc:
         raise click.UsageError(str(exc))
     try:
-        reports = run_suite(config)
-    except VacuousRun as exc:
+        reports = identities.run_suite(config)
+    except identities.VacuousRun as exc:
         raise click.UsageError(str(exc))
     # the fields in order are the params keys; JSON writes their tuples as lists
     record = OutputRecord("verify", asdict(config), _report_payload(reports))
     _emit(record, fmt, output, no_meta)
-    if any(rep.status == FAIL for rep in reports):
+    if any(rep.status == identities.FAIL for rep in reports):
         raise SystemExit(1)
 
 

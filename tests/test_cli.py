@@ -18,6 +18,7 @@ from hyperbern.cli import (
     render_csv,
     render_json,
 )
+from hyperbern import identities, suites
 from hyperbern.identities import SuiteConfig, VerifyReport, replay
 
 
@@ -235,8 +236,6 @@ def test_verify_fault_outside_suite_config_domain_is_a_usage_error(runner, fault
 
 def test_verify_value_error_inside_a_check_is_not_a_usage_error(runner, monkeypatch):
     # only building the SuiteConfig is read as a usage error
-    from hyperbern import identities
-
     def broken(*args, **kwargs):
         raise ValueError("broken check")
 
@@ -543,8 +542,9 @@ def test_output_path_that_cannot_be_opened_is_a_usage_error(
     # a usage error naming the path, raised while the options are parsed:
     # no table is built and no cell runs first
     computed = []
-    for name in ("hb_numbers", "hb_higher_polys_series", "a_poly", "run_suite"):
-        monkeypatch.setattr(cli_module, name, lambda *a, name=name: computed.append(name))
+    for module, name in ((cli_module, "hb_numbers"), (cli_module, "hb_higher_polys_series"),
+                         (cli_module, "a_poly"), (identities, "run_suite")):
+        monkeypatch.setattr(module, name, lambda *a, name=name: computed.append(name))
     target = tmp_path / "missing" / "out"
     res = invoke(runner, *args, "--no-meta", "--output", str(target))
     assert res.exit_code == 2
@@ -552,3 +552,92 @@ def test_output_path_that_cannot_be_opened_is_a_usage_error(
     assert f"'{target}'" in res.output
     assert computed == []
     assert not target.parent.exists()
+
+
+# --- module layout -------------------------------------------------------------------
+
+
+def _fresh_python(script: str) -> str:
+    """Run ``script`` in a fresh interpreter on this checkout's src/; its stdout."""
+    proc = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True, env=_src_env(), timeout=120
+    )
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout
+
+
+def test_table_commands_never_load_the_checks():
+    # the pytest session has loaded identities already, so a fresh interpreter asks
+    loaded = _fresh_python(
+        "import sys\n"
+        "from click.testing import CliRunner\n"
+        "import hyperbern.cli\n"
+        "def run(*args):\n"
+        "    res = CliRunner().invoke(hyperbern.cli.cli, [*args])\n"
+        "    assert res.exit_code == 0, res.output\n"
+        "    print('hyperbern.identities' in sys.modules)\n"
+        "run('numbers', '--N', '2', '--max-n', '6', '--no-meta')\n"
+        "run('polys', '--N', '2', '--r', '3', '--max-n', '5', '--format', 'json', '--no-meta')\n"
+        "run('apoly', '--N', '2', '--r', '3', '--no-meta')\n"
+        "run('apoly', '--N', '2', '--r', '3', '--subst-s', '-5/2', '--no-meta')\n"
+        "run('--version')\n"
+        "run('verify', '--suite', 'kamano', '--N-max', '1', '--no-meta')\n"
+    )
+    assert loaded.split() == ["False"] * 5 + ["True"]
+
+
+_PACKAGE_ALL = [
+    "__version__", "UniPoly", "BiPoly", "PowerSeries", "format_rational", "parse_rational",
+    "HBNumberTable", "HBPolyTable", "APolyTable", "normalized_denominator", "hb_numbers",
+    "hb_polys", "hb_higher_polys_series", "hb_higher_polys_recurrence", "hb_order_step",
+    "a_poly", "a_poly_at_zero", "mult_operator_apply", "VerifyReport", "SuiteConfig",
+    "ALL_SUITES", "run_suite",
+]
+
+
+def test_package_serves_the_checks_on_first_use():
+    out = _fresh_python(
+        "import json, sys\n"
+        "import hyperbern\n"
+        "try:\n"
+        "    hyperbern.no_such_name\n"
+        "except AttributeError as exc:\n"
+        "    assert 'no_such_name' in str(exc)\n"
+        "else:\n"
+        "    raise AssertionError('hyperbern.no_such_name exists')\n"
+        "print('hyperbern.identities' in sys.modules)\n"
+        "from hyperbern import run_suite, VerifyReport, SuiteConfig, ALL_SUITES\n"
+        "from hyperbern import identities\n"
+        "assert run_suite is identities.run_suite and VerifyReport is identities.VerifyReport\n"
+        "names = {}\n"
+        "exec('from hyperbern import *', names)\n"
+        "assert set(hyperbern.__all__) <= names.keys()\n"
+        "print(json.dumps(hyperbern.__all__))\n"
+    )
+    loaded, names = out.splitlines()
+    assert loaded == "False"
+    assert json.loads(names) == _PACKAGE_ALL
+
+
+def test_the_registry_imports_none_of_the_checks_modules():
+    # the table commands load the registry, so it imports no algebra, core,
+    # hashlib or random: only what its two dataclasses need
+    import ast
+
+    tree = ast.parse(Path(suites.__file__).read_text(encoding="utf-8"))
+    imported = {
+        alias.name for node in ast.walk(tree) if isinstance(node, ast.Import) for alias in node.names
+    } | {node.module for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)}
+    assert imported == {"__future__", "collections.abc", "dataclasses"}
+
+
+def test_registry_is_stated_once():
+    # one object each, so _require, replay, SuiteConfig(**params) and the
+    # options of verify read one registry
+    import hyperbern
+
+    for name in ("Suite", "SuiteConfig", "SUITES", "ALL_SUITES", "MODES", "REPORT_PARAMS"):
+        assert getattr(identities, name) is getattr(suites, name)
+    for name in ("SuiteConfig", "ALL_SUITES", "MODES", "REPORT_PARAMS"):
+        assert getattr(cli_module, name) is getattr(suites, name)
+    assert hyperbern.SuiteConfig is suites.SuiteConfig and hyperbern.ALL_SUITES is suites.ALL_SUITES
