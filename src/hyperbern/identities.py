@@ -10,8 +10,8 @@ sample points when the grid would be too large to be worth exhausting.  The
 comparison at a grid or lattice point does not change when its coordinates
 are permuted, and both point sets are closed under permutation, so each is
 compared at its nondecreasing points only; ``cells_checked`` still counts
-every point of the set, and a failing set is walked in full, so that its
-count and counterexample are those of the whole walk.
+every point of the set, and a failing set reports the sorted walk's first
+mismatch, which is the whole walk's, with the whole walk's count.
 
 Each identity is one row of :data:`~hyperbern.suites.SUITES`, the one
 statement of its check, cell layout and precondition: a check called directly
@@ -109,8 +109,10 @@ class VerifyReport:
     ``status`` is "pass", "fail", or "skipped" (precondition not met).  On
     failure ``counterexample`` holds the offending inputs and both sides'
     exact serialized values; re-running the same cell reproduces it exactly.
-    ``details`` carries replay payload (mode, seed, sampled points) where the
-    check involves sampling.
+    ``details`` is None, or for a skipped cell ``{"reason": ...}``, its
+    suite's skip reason; a ``sums`` report carries its mode, ``{"mode":
+    "grid"}`` or the sample's replay payload (mode, seed, sample count and
+    points).
     """
 
     identity_name: str
@@ -267,7 +269,7 @@ def _first_mismatch(polys, n: int, rows, sides):
     n! * dots[j] / scale with integer dots[j].
 
     The sum is symmetric in the points, so everything it needs from a prefix
-    depends only on the prefix's multiset of coordinates.  Four memos, each
+    depends only on the prefix's multiset of coordinates.  Three memos, each
     local to the call, hold one relation each:
 
     - ``ids``: a coordinate to its id, given when first seen;
@@ -275,13 +277,7 @@ def _first_mismatch(polys, n: int, rows, sides):
       their vectors and its scale, built by :func:`_run_conv` from the
       longest leading run held; a coordinate's own vector and its scale are
       held here as its run of one, ``(id,)``;
-    - ``passed``: the (sorted ids, lasts) of the rows that have passed;
     - ``targets``: a scale, then a coordinate sum, to the target.
-
-    A row's dots, its scale and its coordinate sums, and so its targets, are
-    all functions of its (sorted ids, lasts), so a row whose (sorted ids,
-    lasts) has passed passes again: it is counted and compares nothing.  A
-    row that fails ends the walk, so each distinct row is compared once.
 
     A point's target is the integer its dot must be for every side to hold,
     or None if no integer is (a side needs a non-integer, or two sides need
@@ -291,8 +287,9 @@ def _first_mismatch(polys, n: int, rows, sides):
     counterexample.
 
     Since the comparison at a point depends only on the multiset of its
-    coordinates, the grid and lattice checks pass the rows of their
-    nondecreasing points, and the full rows only for a cell that fails (see
+    coordinates, the grid and lattice checks pass only the rows of their
+    nondecreasing points, and a failing cell reports the first mismatch of
+    those rows with the count of the walk over every point (see
     :func:`_walk_point_set`).
 
     Returns the number of points checked and the first (point, lhs, side
@@ -342,15 +339,10 @@ def _first_mismatch(polys, n: int, rows, sides):
             needed.add(None if rem else q)
         return needed.pop() if len(needed) == 1 else None
 
-    passed: set = set()  # (sorted ids, lasts) of the rows that passed
     targets: dict = {}  # scale -> {coordinate sum -> target}
     checked = 0
     for prefix, lasts in rows:
-        key = tuple(sorted(idents(prefix)))
-        if (key, lasts) in passed:
-            checked += len(lasts)
-            continue
-        conv, m = _run_conv(convs, key, n)
+        conv, m = _run_conv(convs, tuple(sorted(idents(prefix))), n)
         rev = conv[::-1]  # dots[j] = sum_k conv[n-k] u_j[k], u_j the vector of lasts[j]
         last_vectors = [convs[i,] for i in idents(lasts)]
         dots = [sum(map(operator.mul, rev, u)) for u, _ in last_vectors]
@@ -360,7 +352,6 @@ def _first_mismatch(polys, n: int, rows, sides):
         sums = [x0 + x for x in lasts]
         wanted = [at[s] if s in at else at.setdefault(s, target(s, scale)) for s in sums]
         if dots == wanted:
-            passed.add((key, lasts))
             checked += len(dots)
             continue
         j = next(j for j, (dot, want) in enumerate(zip(dots, wanted)) if dot != want)
@@ -370,27 +361,36 @@ def _first_mismatch(polys, n: int, rows, sides):
     return checked, None
 
 
-def _point_rows(n: int, fold: int, lattice: bool, nondecreasing: bool):
-    """The points of the grid {0..n}^fold, or with ``lattice`` of the
-    principal lattice {a : sum(a) <= n} of that fold, as the rows (prefix,
-    range of last coordinates) of :func:`_first_mismatch`, in lexicographic
-    order; with ``nondecreasing``, only the points a_1 <= ... <= a_fold."""
-    coords = range(n + 1)
-    if nondecreasing:
-        prefixes = itertools.combinations_with_replacement(coords, fold - 1)
-    else:
-        prefixes = itertools.product(coords, repeat=fold - 1)
-    for prefix in prefixes:
-        low = prefix[-1] if nondecreasing and prefix else 0
+def _point_rows(n: int, fold: int, lattice: bool):
+    """The nondecreasing points a_1 <= ... <= a_fold of the grid {0..n}^fold,
+    or with ``lattice`` of the principal lattice {a : sum(a) <= n} of that
+    fold, as the rows (prefix, range of last coordinates) of
+    :func:`_first_mismatch`, in lexicographic order."""
+    for prefix in itertools.combinations_with_replacement(range(n + 1), fold - 1):
+        low = prefix[-1] if prefix else 0
         high = n - sum(prefix) if lattice else n
         if low <= high:
             yield prefix, range(low, high + 1)
 
 
+def _lex_rank(point, n: int, lattice: bool) -> int:
+    """The number of points of the grid {0..n}^fold, or of the principal
+    lattice of that fold, that come before ``point`` in lexicographic order:
+    for each smaller value c of a coordinate, the points that complete it,
+    (n + 1)^free or C(budget - c + free, free) with ``budget`` n less the
+    earlier coordinates."""
+    rank, budget = 0, n
+    for i, a in enumerate(point):
+        free = len(point) - 1 - i
+        for c in range(a):
+            rank += math.comb(budget - c + free, free) if lattice else (n + 1) ** free
+        budget -= a
+    return rank
+
+
 def _walk_point_set(polys, n: int, fold: int, sides, lattice: bool = False):
     """:func:`_first_mismatch` over every point of the grid or lattice of
-    :func:`_point_rows`, comparing only its nondecreasing points unless one
-    of them fails.
+    :func:`_point_rows`, comparing only its nondecreasing points.
 
     The comparison at a point does not change when its coordinates are
     permuted, for any table: the dot is [t^n] of the product of the
@@ -398,13 +398,14 @@ def _walk_point_set(polys, n: int, fold: int, sides, lattice: bool = False):
     targets depend only on that scale and the coordinate sum.  Both point
     sets are closed under permutation, so every point passes exactly when
     every nondecreasing point does, and a pass counts the whole set:
-    (n + 1)^fold points, or C(n + fold, fold).  On a mismatch the whole set
-    is walked in order, so the count and the first mismatch are those of
-    the full walk."""
-    _, mismatch = _first_mismatch(polys, n, _point_rows(n, fold, lattice, True), sides)
+    (n + 1)^fold points, or C(n + fold, fold).  A point sorts to its least
+    permutation in lexicographic order, so the first mismatch of the walk
+    over the whole set in order is nondecreasing: it is the sorted walk's,
+    and the whole walk's count is its rank in the set plus 1."""
+    _, mismatch = _first_mismatch(polys, n, _point_rows(n, fold, lattice), sides)
     if mismatch is None:
         return (math.comb(n + fold, fold) if lattice else (n + 1) ** fold), None
-    return _first_mismatch(polys, n, _point_rows(n, fold, lattice, False), sides)
+    return _lex_rank(mismatch[0], n, lattice) + 1, mismatch
 
 
 def check_kamano(N: int, r: int, n: int) -> VerifyReport:
@@ -446,11 +447,11 @@ def check_sums_of_products(
     certification once each B_i(x) has degree <= i and both other sides
     degree <= n, bounds checked first in both modes.  Every side is
     symmetric in the points, so the grid is compared at its nondecreasing
-    points and a pass counts all (n + 1)^r; a failing grid is walked in
-    full, one row of n + 1 points per prefix in {0..n}^(r-1), for its count
-    and first counterexample (see :func:`_walk_point_set`).  sample mode
-    draws ``sample_count`` seeded rational points with numerator and
-    denominator bounded by 100, kept for replay.
+    points and a pass counts all (n + 1)^r; a failing grid reports the
+    sorted walk's first counterexample, with the count of the walk over the
+    whole grid in order, its rank plus 1 (see :func:`_walk_point_set`).
+    sample mode draws ``sample_count`` seeded rational points with numerator
+    and denominator bounded by 100, kept for replay.
     auto mode, :class:`SuiteConfig`'s default like ``sample_count`` and
     ``seed``, takes the grid when it has at most ``GRID_POINT_LIMIT`` points
     and samples otherwise, so a call with the defaults gives the report that
@@ -522,8 +523,9 @@ def check_two_three_sums(N: int, n: int) -> VerifyReport:
     checked first, and a polynomial past its bound fails the cell.  Both
     sides are symmetric in the points and the lattice is closed under
     permuting them, so each fold is compared at its nondecreasing points and
-    a pass counts all C(n+f, f); a failing fold is walked in full for its
-    count and first counterexample (see :func:`_walk_point_set`).
+    a pass counts all C(n+f, f); a failing fold reports the sorted walk's
+    first counterexample, with the count of the walk over the whole lattice
+    in order, its rank plus 1 (see :func:`_walk_point_set`).
     """
     params = _require("two-three", N, n)
     polys1 = _table("hb_polys", N, n).polys

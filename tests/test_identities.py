@@ -193,9 +193,9 @@ def test_row_walk_matches_point_walk(walk):
 @st.composite
 def _grid_walks(draw):
     # full product grids, so that every permutation of each prefix is walked
-    # and the walk reads its multiset memo; each row draws its own last
-    # coordinates, so that permuted prefixes sometimes end their rows alike
-    # and sometimes not
+    # and reads its convolution from the walk's multiset memo; each row draws
+    # its own last coordinates, so that permuted prefixes sometimes end their
+    # rows alike and sometimes not
     level = draw(st.integers(min_value=1, max_value=3))
     n = draw(st.integers(min_value=0, max_value=4))
     fold = draw(st.integers(min_value=1, max_value=4))
@@ -236,8 +236,10 @@ def test_walk_rejects_a_table_past_its_degree_premise(x):
 def _walk_work(monkeypatch, call):
     """The report of ``call()``, with counts of its ``_conv`` calls and of the
     sums over a map in ``identities`` (the walk's dot products and the
-    entries of its coordinate vectors) and over a tuple (one per row the walk
-    compares, the sum of its prefix)."""
+    entries of its coordinate vectors) and over a tuple: one per row the walk
+    compares, the sum of its prefix, one per lattice row that ``_point_rows``
+    yields, the sum that bounds its last coordinates, and a ``sums``
+    counterexample's ``x_sum``."""
     counts = Counter()
     conv = identities._conv
 
@@ -292,16 +294,29 @@ def test_kamano_walk_work_is_pinned(monkeypatch):
     assert counts["map sums"] - 11 == 1
 
 
-@pytest.mark.parametrize("fold,n,multisets", [(4, 10, math.comb(13, 3)), (5, 5, math.comb(9, 4))])
-def test_walk_compares_each_distinct_row_once(monkeypatch, fold, n, multisets):
-    # a full product grid walks every permutation of each prefix with the same
-    # last coordinates; only the first row of each multiset is compared
-    polys = hb_polys(2, n).polys
-    rows = [(prefix, range(n + 1)) for prefix in itertools.product(range(n + 1), repeat=fold - 1)]
-    sides = [hb_higher_polys_series(2, fold, n).polys[n]]
-    got, counts = _walk_work(monkeypatch, lambda: _first_mismatch(polys, n, rows, sides))
-    assert got == ((n + 1) ** fold, None)
-    assert counts["tuple sums"] == multisets
+@pytest.mark.parametrize(
+    "call,idx,convs,map_sums,tuple_sums",
+    [
+        # the first sorted row, (0, 0, 0) and 0..10: the prefix's runs of two
+        # and three are convolved once, the 11 coordinates take one sum per
+        # p_0..p_10 and the row 11 dots; its prefix and the x_sum are summed
+        (lambda: check_sums_of_products(2, 4, 10), 10, 2, 11 * 11 + 11, 2),
+        # fold 2's first row, (0,) and 0..20: 21 coordinates of 21 sums each
+        # and 21 dots; its prefix is summed for the lattice bound and the walk
+        (lambda: check_two_three_sums(2, 20), 20, 0, 21 * 21 + 21, 2),
+    ],
+    ids=["sums-grid", "two-three"],
+)
+def test_failing_cell_walks_once(monkeypatch, call, idx, convs, map_sums, tuple_sums):
+    # x^idx added to p_idx fails the cell at its second point; the cell
+    # reports the sorted walk's mismatch and does that one walk's work, where
+    # a second walk over the whole set would double every count
+    _bump_poly(monkeypatch, idx)
+    rep, counts = _walk_work(monkeypatch, call)
+    assert (rep.status, rep.cells_checked) == (FAIL, 2)
+    assert counts["convs"] == convs
+    assert counts["map sums"] == map_sums
+    assert counts["tuple sums"] == tuple_sums
 
 
 def test_walk_leaves_no_cyclic_garbage():
@@ -512,18 +527,14 @@ def test_replay_confirms_the_count(monkeypatch, idx, coeff, call):
 
 @pytest.mark.parametrize("lattice", [False, True], ids=["grid", "lattice"])
 def test_point_rows_cover_the_point_sets(lattice):
-    # the full rows hold every point of the set once, in lexicographic order,
-    # and the sorted rows its nondecreasing points, in the same order
+    # the rows hold the nondecreasing points of the set once each, in
+    # lexicographic order, and every point's rank is its index in the set
     for n, fold in itertools.product(range(7), range(1, 5)):
-        rows = {
-            sort: [prefix + (x,) for prefix, lasts in identities._point_rows(n, fold, lattice, sort)
-                   for x in lasts]
-            for sort in (False, True)
-        }
         points = [a for a in itertools.product(range(n + 1), repeat=fold) if not lattice or sum(a) <= n]
-        assert rows[False] == points
         assert len(points) == (math.comb(n + fold, fold) if lattice else (n + 1) ** fold)
-        assert rows[True] == [a for a in points if list(a) == sorted(a)]
+        rows = [prefix + (x,) for prefix, lasts in identities._point_rows(n, fold, lattice) for x in lasts]
+        assert rows == [a for a in points if list(a) == sorted(a)]
+        assert [identities._lex_rank(a, n, lattice) for a in points] == list(range(len(points)))
 
 
 def _full_walk(polys, n, fold, sides, lattice=False):
@@ -578,6 +589,25 @@ def test_sorted_walk_reports_the_full_walk(case):
         got = check()
         mp.setattr(identities, "_walk_point_set", _full_walk)
         assert got == check()
+
+
+@pytest.mark.parametrize(
+    "fold,n,wrong_sum,count,point",
+    [(3, 4, 9, 50, (1, 4, 4)), (4, 3, 10, 128, (1, 3, 3, 3))],
+    ids=["fold3", "fold4"],
+)
+def test_sorted_walk_counts_every_coordinate(fold, n, wrong_sum, count, point):
+    # a side wrong only at one coordinate sum fails first at the least grid
+    # point with that sum, whose rank takes a term from every coordinate
+    polys = hb_polys(2, n).polys
+    vanish = UniPoly((1,))
+    for s in range(fold * n + 1):
+        if s != wrong_sum:
+            vanish = vanish * UniPoly((-s, 1))
+    sides = [hb_higher_polys_series(2, fold, n).polys[n] + vanish]
+    got = identities._walk_point_set(polys, n, fold, sides)
+    assert got == _full_walk(polys, n, fold, sides)
+    assert (got[0], got[1][0]) == (count, point)
 
 
 def _sums_sides_sympy(N, r, n, polys1):
