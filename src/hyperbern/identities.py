@@ -11,7 +11,11 @@ comparison at a grid or lattice point does not change when its coordinates
 are permuted, and both point sets are closed under permutation, so each is
 compared at its nondecreasing points only; ``cells_checked`` still counts
 every point of the set, and a failing set reports the sorted walk's first
-mismatch, which is the whole walk's, with the whole walk's count.
+mismatch, which is the whole walk's, with the whole walk's count.  The sums
+check walks the principal lattice first whenever it has no more sorted rows
+than the grid or sample asked for: a pass there proves the identity, so
+every requested point agrees and the cell reports that set's pass; a failing
+lattice leaves the report to the requested walk.
 
 Each identity is one row of :data:`~hyperbern.suites.SUITES`, the one
 statement of its check, cell layout and precondition: a check called directly
@@ -452,6 +456,17 @@ def check_sums_of_products(
     whole grid in order, its rank plus 1 (see :func:`_walk_point_set`).
     sample mode draws ``sample_count`` seeded rational points with numerator
     and denominator bounded by 100, kept for replay.
+
+    Once the degree bounds hold, every side has total degree <= n, and the
+    principal lattice {a : sum(a) <= n} is unisolvent for that (Chung & Yao,
+    SIAM J. Numer. Anal. 14, 1977).  So the cell first walks the lattice's
+    sorted points, when it has no more sorted rows than the requested walk:
+    always for a grid, and for a sample when its rows number at most
+    ``sample_count`` (counted only that far).  A pass there proves the
+    identity at every requested point, and the cell reports the requested
+    set's pass: (n + 1)^r or ``sample_count`` points, with the same
+    ``details``.  If the lattice fails, or has more rows, the requested grid
+    or sample is walked and decides the report, failing cells included.
     auto mode, :class:`SuiteConfig`'s default like ``sample_count`` and
     ``seed``, takes the grid when it has at most ``GRID_POINT_LIMIT`` points
     and samples otherwise, so a call with the defaults gives the report that
@@ -473,6 +488,7 @@ def check_sums_of_products(
     # once per multiset of leading coordinates
     if mode == "grid":
         details = {"mode": "grid"}
+        cells, prove = (n + 1) ** r, True  # the grid never has fewer sorted rows
         walk = lambda: _walk_point_set(polys1, n, r, sides)
     else:
         rng = _cell_rng(seed, "sums", N, r, n)
@@ -486,10 +502,17 @@ def check_sums_of_products(
             "points": [[format_rational(c) for c in pt] for pt in points],
         }
         rows = ((pt[:-1], pt[-1:]) for pt in points)  # each point a row of its own
+        cells = sample_count
+        # no more lattice rows than points; the count stops after sample_count + 1
+        prove = next(itertools.islice(_point_rows(n, r, True), sample_count, None), None) is None
         walk = lambda: _first_mismatch(polys1, n, rows, sides)
     counter = _degree_excess(polys1, n, [("collapsed side", higher), ("closed form", rhs)])
     if counter is not None:
         return VerifyReport("sums", params, FAIL, 0, counterexample=counter, details=details)
+    # a pass on the lattice proves every requested point; a failing lattice
+    # leaves the report to the requested walk
+    if prove and _walk_point_set(polys1, n, r, sides, lattice=True)[1] is None:
+        return VerifyReport("sums", params, PASS, cells, details=details)
     checked, mismatch = walk()
     if mismatch is None:
         return VerifyReport("sums", params, PASS, checked, details=details)

@@ -2,6 +2,7 @@ import gc
 import itertools
 import math
 import sys
+import time
 from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
@@ -30,6 +31,7 @@ from hyperbern.identities import (
     SKIPPED,
     SUITES,
     SuiteConfig,
+    VerifyReport,
     _check_cell,
     _closed_form,
     _first_mismatch,
@@ -258,30 +260,59 @@ def _walk_work(monkeypatch, call):
 
 
 @pytest.mark.parametrize(
-    "call,n,walks,convs,dots",
+    "call,n,walks,convs,dots,sampled",
     [
-        # 66 + 286 sorted prefixes of two and three coordinates, each
-        # convolved once, and one dot per sorted point, C(14, 4) = 1,001
-        # (the full grid: 1,452 and 14,641)
-        (lambda: check_sums_of_products(2, 4, 10), 10, 1, 352, 1_001),
+        # the order-4 lattice proves the grid: its 23 sorted prefixes of three
+        # coordinates and their 8 leading runs of two, each convolved once, and
+        # one dot per sorted lattice point, 94 (the grid's sorted walk: 352
+        # and 1,001; the full grid: 1,452 and 14,641)
+        (lambda: check_sums_of_products(2, 4, 10), 10, 1, 31, 94, False),
         # fold 3's 44 sorted prefixes a <= b with a + 2b <= 20, and the 121 +
         # 358 sorted points of folds 2 and 3 (all points: 231 and 2,002)
-        (lambda: check_two_three_sums(2, 20), 20, 2, 44, 479),
-        # every sampled prefix is a multiset of its own: 64 points, 2 convolutions each
-        (lambda: check_sums_of_products(2, 4, 16), 16, 1, 128, 64),
+        (lambda: check_two_three_sums(2, 20), 20, 2, 44, 479, False),
+        # 64 lattice rows, no more than the 64 sampled points, so the lattice
+        # proves the sample: 64 + 17 prefix runs, 359 sorted points (walking
+        # the sample: 128 and 64)
+        (lambda: check_sums_of_products(2, 4, 16), 16, 1, 81, 359, False),
+        # one point fewer than those rows, so only the sample is walked; every
+        # sampled prefix is a multiset of its own: 63 points, 2 convolutions each
+        (lambda: check_sums_of_products(2, 4, 16, sample_count=63), 16, 1, 126, 63, True),
+        # 532 lattice rows, more than 32 points: 32 points, 4 convolutions each
+        (lambda: check_sums_of_products(1, 6, 24, sample_count=32), 24, 1, 128, 32, True),
     ],
-    ids=["sums-grid", "two-three", "sums-sample"],
+    ids=["sums-grid", "two-three", "sums-sample", "sums-sample-63", "sums-sample-walked"],
 )
-def test_walk_work_is_pinned(monkeypatch, call, n, walks, convs, dots):
+def test_walk_work_is_pinned(monkeypatch, call, n, walks, convs, dots, sampled):
     rep, counts = _walk_work(monkeypatch, call)
     assert rep.status == PASS
-    if rep.details and rep.details["mode"] == "sample":
+    if sampled:
         coordinates = len({c for point in rep.details["points"] for c in point})
     else:
         coordinates = n + 1  # each walk sees 0..n
     assert counts["convs"] == convs
     # each walk's coordinate vectors take one sum per table polynomial p_0..p_n
     assert counts["map sums"] - walks * coordinates * (n + 1) == dots
+
+
+def test_sums_sample_counts_lattice_rows_only_past_its_points(monkeypatch):
+    # the order-8 lattice at n = 40 has 9,749 sorted rows among some 6 * 10^7
+    # sorted prefixes, seconds of work to run through; 4 points draw 5
+    # rows, then only the sample is walked: 4 points of 6 convolutions each
+    rows = identities._point_rows
+    drawn = Counter()
+
+    def counted_rows(*args):
+        for row in rows(*args):
+            drawn["rows"] += 1
+            yield row
+
+    monkeypatch.setattr(identities, "_point_rows", counted_rows)
+    start = time.perf_counter()
+    rep, counts = _walk_work(monkeypatch, lambda: check_sums_of_products(1, 8, 40, sample_count=4))
+    assert time.perf_counter() - start < 2.0
+    assert (rep.status, rep.cells_checked) == (PASS, 4)
+    assert drawn["rows"] == 5
+    assert counts["convs"] == 24
 
 
 def test_kamano_walk_work_is_pinned(monkeypatch):
@@ -297,10 +328,12 @@ def test_kamano_walk_work_is_pinned(monkeypatch):
 @pytest.mark.parametrize(
     "call,idx,convs,map_sums,tuple_sums",
     [
-        # the first sorted row, (0, 0, 0) and 0..10: the prefix's runs of two
-        # and three are convolved once, the 11 coordinates take one sum per
-        # p_0..p_10 and the row 11 dots; its prefix and the x_sum are summed
-        (lambda: check_sums_of_products(2, 4, 10), 10, 2, 11 * 11 + 11, 2),
+        # the first sorted row, (0, 0, 0) and 0..10, is the lattice's and
+        # the grid's: each walk convolves the prefix's runs of two and three
+        # once, takes one sum per p_0..p_10 for each of the 11 coordinates
+        # and 11 dots for the row, and sums the prefix; the lattice's rows
+        # sum it once more for their bound, and the counterexample its x_sum
+        (lambda: check_sums_of_products(2, 4, 10), 10, 4, 2 * (11 * 11 + 11), 4),
         # fold 2's first row, (0,) and 0..20: 21 coordinates of 21 sums each
         # and 21 dots; its prefix is summed for the lattice bound and the walk
         (lambda: check_two_three_sums(2, 20), 20, 0, 21 * 21 + 21, 2),
@@ -308,9 +341,11 @@ def test_kamano_walk_work_is_pinned(monkeypatch):
     ids=["sums-grid", "two-three"],
 )
 def test_failing_cell_walks_once(monkeypatch, call, idx, convs, map_sums, tuple_sums):
-    # x^idx added to p_idx fails the cell at its second point; the cell
-    # reports the sorted walk's mismatch and does that one walk's work, where
-    # a second walk over the whole set would double every count
+    # x^idx added to p_idx fails the cell at its second point.  two-three
+    # walks its lattice once and reports that walk's mismatch; sums first
+    # tries the lattice, which fails at the same row, then walks the grid
+    # once and reports the grid's.  A walk over the whole set on top would
+    # add one more walk's work to every count
     _bump_poly(monkeypatch, idx)
     rep, counts = _walk_work(monkeypatch, call)
     assert (rep.status, rep.cells_checked) == (FAIL, 2)
@@ -608,6 +643,94 @@ def test_sorted_walk_counts_every_coordinate(fold, n, wrong_sum, count, point):
     got = identities._walk_point_set(polys, n, fold, sides)
     assert got == _full_walk(polys, n, fold, sides)
     assert (got[0], got[1][0]) == (count, point)
+
+
+def _requested_walk_report(N, r, n, mode, sample_count, seed):
+    """The sums report from the requested walk alone, with no lattice first:
+    the grid's sorted walk, or the walk over the seeded sample's points."""
+    polys1 = identities.hb_polys(N, n).polys
+    sides = [identities.hb_higher_polys_series(N, r, n).polys[n],
+             _closed_form(N, r, n, a_poly(N, r).entries, polys1)]
+    params = {"N": N, "r": r, "n": n}
+    if mode == "grid":
+        details = {"mode": "grid"}
+        checked, mismatch = identities._walk_point_set(polys1, n, r, sides)
+    else:
+        rng = identities._cell_rng(seed, "sums", N, r, n)
+        points = [tuple(identities._random_rational(rng) for _ in range(r)) for _ in range(sample_count)]
+        details = {"mode": "sample", "seed": seed, "sample_count": sample_count,
+                   "points": [[format_rational(c) for c in pt] for pt in points]}
+        checked, mismatch = _first_mismatch(polys1, n, [(pt[:-1], pt[-1:]) for pt in points], sides)
+    if mismatch is None:
+        return VerifyReport("sums", params, PASS, checked, details=details)
+    point, direct, (collapsed, closed) = mismatch
+    counter = {"x_points": [format_rational(c) for c in point], "x_sum": format_rational(sum(point)),
+               "lhs_direct": format_rational(direct), "lhs_collapsed": format_rational(collapsed),
+               "rhs": format_rational(closed)}
+    return VerifyReport("sums", params, FAIL, checked, counterexample=counter, details=details)
+
+
+@st.composite
+def _sums_requests(draw):
+    # a grid or sample request at N <= 3, r <= 4, n <= 10, read at an
+    # order-1 table with c x^k on one p_i or none; k <= i keeps the degree
+    # premise, so a walk decides the cell
+    level = draw(st.integers(min_value=1, max_value=3))
+    r = draw(st.integers(min_value=1, max_value=4))
+    n = draw(st.integers(min_value=r - 1, max_value=10))
+    mode = draw(st.sampled_from(["grid", "sample"]))
+    count = draw(st.sampled_from([1, 4, 16, 64]))
+    seed = draw(st.integers(min_value=1, max_value=3))
+    bumps = draw(st.lists(st.tuples(st.integers(0, n), st.integers(0, n), rationals), max_size=1))
+    return (level, r, n, mode, count, seed), [(i, min(k, i), c) for i, k, c in bumps]
+
+
+@settings(deadline=None, max_examples=60)
+@given(_sums_requests())
+# proved on the lattice: a grid, and a sample with no fewer points than
+# lattice rows; a failing lattice whose grid or sample decides the report
+# (test_grid_failure_paths_are_pinned's cells); and a sample with fewer
+# points than lattice rows
+@example(((2, 4, 10, "grid", 64, 1), []))
+@example(((3, 3, 9, "sample", 64, 2), []))
+@example(((1, 2, 3, "grid", 64, 1), [(0, 0, 1)]))
+@example(((1, 2, 3, "sample", 4, 7), [(2, 2, 1)]))
+@example(((2, 4, 10, "sample", 16, 3), [(3, 1, Fraction(-1, 2))]))
+@example(((1, 3, 8, "sample", 4, 1), []))
+def test_sums_report_is_the_requested_walks(request):
+    cell, bumps = request
+    with pytest.MonkeyPatch.context() as mp:
+        for i, k, c in bumps:
+            _bump_poly(mp, i, k, c)
+        N, r, n, mode, count, seed = cell
+        got = check_sums_of_products(N, r, n, mode=mode, sample_count=count, seed=seed)
+        assert got == _requested_walk_report(*cell)
+
+
+def test_sums_sample_decides_when_the_lattice_fails(monkeypatch):
+    # the collapsed side plus c (x - s_1)(x - s_2), with s_1, s_2 the coordinate
+    # sums of the 2 sampled points, keeps the degree premise (2 <= 3) and
+    # differs at every lattice sum 0..3; the lattice's 2 rows are no more than
+    # the points, so it is walked first and fails, and the sample, which
+    # misses the change, decides the report: a pass, as the sample alone gives
+    exact = check_sums_of_products(1, 2, 3, mode="sample", sample_count=2, seed=1)
+    wrong = UniPoly((1,))
+    for point in exact.details["points"]:
+        wrong = wrong * UniPoly((-sum(map(Fraction, point)), 1))
+    higher = identities.hb_higher_polys_series
+
+    def shifted(N, r, top):
+        table = higher(N, r, top)
+        return replace(table, polys=table.polys[:top] + (table.polys[top] + wrong,))
+
+    monkeypatch.setattr(identities, "hb_higher_polys_series", shifted)
+    sides = [shifted(1, 2, 3).polys[3], _closed_form(1, 2, 3, a_poly(1, 2).entries, hb_polys(1, 3).polys)]
+    checked, mismatch = identities._walk_point_set(hb_polys(1, 3).polys, 3, 2, sides, lattice=True)
+    assert mismatch is not None and mismatch[0] == (0, 0)
+    got = check_sums_of_products(1, 2, 3, mode="sample", sample_count=2, seed=1)
+    assert got == exact == _requested_walk_report(1, 2, 3, "sample", 2, 1)
+    grid = check_sums_of_products(1, 2, 3, mode="grid")
+    assert (grid.status, grid.cells_checked) == (FAIL, 1)
 
 
 def _sums_sides_sympy(N, r, n, polys1):
