@@ -2,20 +2,18 @@
 
 Every check compares independently computed exact rational values; there are
 no tolerances anywhere.  A polynomial identity is certified either by
-coefficientwise comparison, by exhaustive evaluation on an integer grid large
-enough to pin the polynomial (per-variable degree d needs d+1 points per
-variable) or on the principal lattice (total degree d needs the nonnegative
-integer points with coordinate sum at most d), or by seeded random rational
-sample points when the grid would be too large to be worth exhausting.  The
-comparison at a grid or lattice point does not change when its coordinates
-are permuted, and both point sets are closed under permutation, so each is
-compared at its nondecreasing points only; ``cells_checked`` still counts
-every point of the set, and a failing set reports the sorted walk's first
-mismatch, which is the whole walk's, with the whole walk's count.  The sums
-check walks the principal lattice first whenever it has no more sorted rows
-than the grid or sample asked for: a pass there proves the identity, so
-every requested point agrees and the cell reports that set's pass; a failing
-lattice leaves the report to the requested walk.
+coefficientwise comparison, by exhaustive evaluation on the principal
+lattice (total degree d needs the nonnegative integer points with coordinate
+sum at most d), or by seeded random rational sample points.  The comparison
+at a lattice point does not change when its coordinates are permuted, and
+the lattice is closed under permutation, so it is compared at its
+nondecreasing points only; ``cells_checked`` still counts every point of the
+lattice, and a failing lattice reports the sorted walk's first mismatch,
+which is the whole walk's, with the whole walk's count.  Each sums cell
+walks once: the lattice, for a grid and for a sample of no fewer points than
+the lattice has sorted rows, and otherwise its sample.  The lattice's
+verdict is the cell's: a pass proves every requested point, and the cell
+reports the grid's or sample's pass; a failure reports the lattice's.
 
 Each identity is one row of :data:`~hyperbern.suites.SUITES`, the one
 statement of its check, cell layout and precondition: a check called directly
@@ -103,7 +101,9 @@ PASS = "pass"
 FAIL = "fail"
 SKIPPED = "skipped"
 
-GRID_POINT_LIMIT = 20_000  # auto mode: exhaustive grid up to this many points
+# auto mode: a grid report, (n + 1)^r points proved on the lattice, up to this
+# many points, and a sample past it; the limit picks only the report's form
+GRID_POINT_LIMIT = 20_000
 
 
 @dataclass(frozen=True)
@@ -232,7 +232,7 @@ def _closed_form(N: int, r: int, n: int, entries, polys) -> UniPoly:
 
 
 def _degree_excess(polys, n: int, sides) -> dict | None:
-    """The first polynomial past its bound in a grid or lattice proof's degree
+    """The first polynomial past its bound in a lattice proof's degree
     premise (polys[i] <= i, each named side <= n) as a counterexample, or None."""
     premises = [(f"B_{i}(x)", p, i) for i, p in enumerate(polys)]
     for name, p, bound in premises + [(name, side, n) for name, side in sides]:
@@ -291,10 +291,9 @@ def _first_mismatch(polys, n: int, rows, sides):
     counterexample.
 
     Since the comparison at a point depends only on the multiset of its
-    coordinates, the grid and lattice checks pass only the rows of their
-    nondecreasing points, and a failing cell reports the first mismatch of
-    those rows with the count of the walk over every point (see
-    :func:`_walk_point_set`).
+    coordinates, the lattice checks pass only the rows of its nondecreasing
+    points, and a failing cell reports the first mismatch of those rows with
+    the count of the walk over every point (see :func:`_walk_lattice`).
 
     Returns the number of points checked and the first (point, lhs, side
     values) in walk order where some side differs, or None.  The tests pin
@@ -365,51 +364,57 @@ def _first_mismatch(polys, n: int, rows, sides):
     return checked, None
 
 
-def _point_rows(n: int, fold: int, lattice: bool):
-    """The nondecreasing points a_1 <= ... <= a_fold of the grid {0..n}^fold,
-    or with ``lattice`` of the principal lattice {a : sum(a) <= n} of that
-    fold, as the rows (prefix, range of last coordinates) of
-    :func:`_first_mismatch`, in lexicographic order."""
-    for prefix in itertools.combinations_with_replacement(range(n + 1), fold - 1):
-        low = prefix[-1] if prefix else 0
-        high = n - sum(prefix) if lattice else n
-        if low <= high:
-            yield prefix, range(low, high + 1)
+def _point_rows(n: int, fold: int):
+    """The nondecreasing points a_1 <= ... <= a_fold of the principal lattice
+    {a : sum(a) <= n} of that fold, as the rows (prefix, range of last
+    coordinates) of :func:`_first_mismatch`, in lexicographic order.  A
+    coordinate with ``free`` coordinates left, itself included, leaves each
+    of them at least its value, so it runs only to ``budget // free``."""
+
+    def rows(prefix, low, budget, free):
+        if free == 1:
+            yield prefix, range(low, budget + 1)
+            return
+        for c in range(low, budget // free + 1):
+            yield from rows(prefix + (c,), c, budget - c, free - 1)
+
+    return rows((), 0, n, fold)
 
 
-def _lex_rank(point, n: int, lattice: bool) -> int:
-    """The number of points of the grid {0..n}^fold, or of the principal
-    lattice of that fold, that come before ``point`` in lexicographic order:
-    for each smaller value c of a coordinate, the points that complete it,
-    (n + 1)^free or C(budget - c + free, free) with ``budget`` n less the
-    earlier coordinates."""
+def _lex_rank(point, n: int) -> int:
+    """The number of points of the principal lattice of ``point``'s fold
+    that come before it in lexicographic order: for each coordinate a with
+    ``free`` coordinates left, itself included, and ``budget`` n less the
+    earlier ones, the points that complete each smaller value of it,
+    sum over c < a of C(budget - c + free - 1, free - 1), which is
+    C(budget + free, free) - C(budget - a + free, free)."""
     rank, budget = 0, n
     for i, a in enumerate(point):
-        free = len(point) - 1 - i
-        for c in range(a):
-            rank += math.comb(budget - c + free, free) if lattice else (n + 1) ** free
+        free = len(point) - i
+        rank += math.comb(budget + free, free) - math.comb(budget - a + free, free)
         budget -= a
     return rank
 
 
-def _walk_point_set(polys, n: int, fold: int, sides, lattice: bool = False):
-    """:func:`_first_mismatch` over every point of the grid or lattice of
-    :func:`_point_rows`, comparing only its nondecreasing points.
+def _walk_lattice(polys, n: int, fold: int, sides):
+    """:func:`_first_mismatch` over every point of the principal lattice
+    {a : sum(a) <= n} of that fold, comparing only its nondecreasing points
+    (the rows of :func:`_point_rows`).
 
     The comparison at a point does not change when its coordinates are
     permuted, for any table: the dot is [t^n] of the product of the
     coordinates' vectors and the scale the product of their scales, and the
-    targets depend only on that scale and the coordinate sum.  Both point
-    sets are closed under permutation, so every point passes exactly when
-    every nondecreasing point does, and a pass counts the whole set:
-    (n + 1)^fold points, or C(n + fold, fold).  A point sorts to its least
-    permutation in lexicographic order, so the first mismatch of the walk
-    over the whole set in order is nondecreasing: it is the sorted walk's,
-    and the whole walk's count is its rank in the set plus 1."""
-    _, mismatch = _first_mismatch(polys, n, _point_rows(n, fold, lattice), sides)
+    targets depend only on that scale and the coordinate sum.  The lattice
+    is closed under permutation, so every point passes exactly when every
+    nondecreasing point does, and a pass counts all C(n + fold, fold)
+    points.  A point sorts to its least permutation in lexicographic order,
+    so the first mismatch of the walk over the whole lattice in order is
+    nondecreasing: it is the sorted walk's, and the whole walk's count is
+    its rank in the lattice plus 1."""
+    _, mismatch = _first_mismatch(polys, n, _point_rows(n, fold), sides)
     if mismatch is None:
-        return (math.comb(n + fold, fold) if lattice else (n + 1) ** fold), None
-    return _lex_rank(mismatch[0], n, lattice) + 1, mismatch
+        return math.comb(n + fold, fold), None
+    return _lex_rank(mismatch[0], n) + 1, mismatch
 
 
 def check_kamano(N: int, r: int, n: int) -> VerifyReport:
@@ -447,32 +452,31 @@ def check_sums_of_products(
     collapse to the single order-r polynomial at the summed point.  Both must
     equal the closed form with the bivariate coefficient polynomials.
 
-    grid mode certifies the full integer grid {0..n}^r: a complete
-    certification once each B_i(x) has degree <= i and both other sides
-    degree <= n, bounds checked first in both modes.  Every side is
-    symmetric in the points, so the grid is compared at its nondecreasing
-    points and a pass counts all (n + 1)^r; a failing grid reports the
-    sorted walk's first counterexample, with the count of the walk over the
-    whole grid in order, its rank plus 1 (see :func:`_walk_point_set`).
-    sample mode draws ``sample_count`` seeded rational points with numerator
-    and denominator bounded by 100, kept for replay.
+    grid mode asks for the integer grid {0..n}^r, (n + 1)^r points; sample
+    mode for ``sample_count`` seeded rational points with numerator and
+    denominator bounded by 100, kept for replay.  The degree premise is
+    checked first in both modes: each B_i(x) has degree <= i and both other
+    sides degree <= n, so every side has total degree <= n, and a polynomial
+    past its bound fails the cell.  The principal lattice {a : sum(a) <= n}
+    is unisolvent for total degree <= n (Chung & Yao, SIAM J. Numer. Anal.
+    14, 1977), so its verdict is the identity's.
 
-    Once the degree bounds hold, every side has total degree <= n, and the
-    principal lattice {a : sum(a) <= n} is unisolvent for that (Chung & Yao,
-    SIAM J. Numer. Anal. 14, 1977).  So the cell first walks the lattice's
-    sorted points, when it has no more sorted rows than the requested walk:
-    always for a grid, and for a sample when its rows number at most
-    ``sample_count`` (counted only that far).  A pass there proves the
-    identity at every requested point, and the cell reports the requested
-    set's pass: (n + 1)^r or ``sample_count`` points, with the same
-    ``details``.  If the lattice fails, or has more rows, the requested grid
-    or sample is walked and decides the report, failing cells included.
-    auto mode, :class:`SuiteConfig`'s default like ``sample_count`` and
-    ``seed``, takes the grid when it has at most ``GRID_POINT_LIMIT`` points
-    and samples otherwise, so a call with the defaults gives the report that
-    :func:`run_suite` gives for the cell.  The report records the mode taken.
-    mode, ``sample_count`` and ``seed`` obey :class:`SuiteConfig`'s rule,
-    which raises its ``ValueError`` on a bad one (in grid mode too).
+    Each cell then walks once.  A grid cell walks the lattice; so does a
+    sample cell whose lattice has no more sorted rows than ``sample_count``
+    (counted only that far), and any other sample cell walks its sample.
+    A lattice pass proves every requested point, and the cell reports the
+    requested set's pass: (n + 1)^r or ``sample_count`` points, with the
+    same ``details``.  A failing lattice reports its sorted walk's first
+    counterexample, with the count of the walk over the whole lattice in
+    order, its rank plus 1 (see :func:`_walk_lattice`); on a grid cell that
+    point is a grid point too.  A walked sample reports its own pass or
+    first counterexample.  auto mode, :class:`SuiteConfig`'s default like
+    ``sample_count`` and ``seed``, takes the grid when it has at most
+    ``GRID_POINT_LIMIT`` points and samples otherwise, so a call with the
+    defaults gives the report that :func:`run_suite` gives for the cell.
+    The report records the mode taken.  mode, ``sample_count`` and ``seed``
+    obey :class:`SuiteConfig`'s rule, which raises its ``ValueError`` on a
+    bad one (in grid mode too).
     """
     params = _require("sums", N, r, n)
     SuiteConfig(mode=mode, sample_count=sample_count, seed=seed)
@@ -487,9 +491,7 @@ def check_sums_of_products(
     # its sum, and the direct side is symmetric in the points: it is computed
     # once per multiset of leading coordinates
     if mode == "grid":
-        details = {"mode": "grid"}
-        cells, prove = (n + 1) ** r, True  # the grid never has fewer sorted rows
-        walk = lambda: _walk_point_set(polys1, n, r, sides)
+        details, cells, rows = {"mode": "grid"}, (n + 1) ** r, None
     else:
         rng = _cell_rng(seed, "sums", N, r, n)
         points = [
@@ -501,21 +503,22 @@ def check_sums_of_products(
             "sample_count": sample_count,
             "points": [[format_rational(c) for c in pt] for pt in points],
         }
-        rows = ((pt[:-1], pt[-1:]) for pt in points)  # each point a row of its own
         cells = sample_count
-        # no more lattice rows than points; the count stops after sample_count + 1
-        prove = next(itertools.islice(_point_rows(n, r, True), sample_count, None), None) is None
-        walk = lambda: _first_mismatch(polys1, n, rows, sides)
+        # the sample is walked, each point a row of its own, only when the
+        # lattice has more sorted rows than it has points; the count stops
+        # after sample_count + 1
+        more = next(itertools.islice(_point_rows(n, r), sample_count, None), None) is not None
+        rows = ((pt[:-1], pt[-1:]) for pt in points) if more else None
     counter = _degree_excess(polys1, n, [("collapsed side", higher), ("closed form", rhs)])
     if counter is not None:
         return VerifyReport("sums", params, FAIL, 0, counterexample=counter, details=details)
-    # a pass on the lattice proves every requested point; a failing lattice
-    # leaves the report to the requested walk
-    if prove and _walk_point_set(polys1, n, r, sides, lattice=True)[1] is None:
-        return VerifyReport("sums", params, PASS, cells, details=details)
-    checked, mismatch = walk()
+    if rows is not None:
+        checked, mismatch = _first_mismatch(polys1, n, rows, sides)
+    else:
+        checked, mismatch = _walk_lattice(polys1, n, r, sides)
     if mismatch is None:
-        return VerifyReport("sums", params, PASS, checked, details=details)
+        # every requested point passes: a lattice pass proves them all
+        return VerifyReport("sums", params, PASS, cells, details=details)
     point, lhs_direct, (lhs_collapsed, rhs_val) = mismatch
     counter = {
         "x_points": [format_rational(p) for p in point],
@@ -548,7 +551,7 @@ def check_two_three_sums(N: int, n: int) -> VerifyReport:
     permuting them, so each fold is compared at its nondecreasing points and
     a pass counts all C(n+f, f); a failing fold reports the sorted walk's
     first counterexample, with the count of the walk over the whole lattice
-    in order, its rank plus 1 (see :func:`_walk_point_set`).
+    in order, its rank plus 1 (see :func:`_walk_lattice`).
     """
     params = _require("two-three", N, n)
     polys1 = _table("hb_polys", N, n).polys
@@ -570,7 +573,7 @@ def check_two_three_sums(N: int, n: int) -> VerifyReport:
 
     checked = 0
     for fold, closed_form in closed_forms.items():
-        fold_checked, mismatch = _walk_point_set(polys1, n, fold, [closed_form], lattice=True)
+        fold_checked, mismatch = _walk_lattice(polys1, n, fold, [closed_form])
         checked += fold_checked
         if mismatch is not None:
             point, lhs, (rhs,) = mismatch

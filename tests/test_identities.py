@@ -163,7 +163,7 @@ def _row_walks(draw):
     level = draw(st.integers(min_value=1, max_value=3))
     n = draw(st.integers(min_value=0, max_value=5))
     fold = draw(st.integers(min_value=1, max_value=3))
-    # grid rows of nonnegative integer points, as the grid checks pass them,
+    # rows of nonnegative integer points, as the lattice checks pass them,
     # mixed with rows of one point anywhere
     grid_row = st.tuples(
         st.tuples(*[st.integers(min_value=0, max_value=4)] * (fold - 1)),
@@ -239,9 +239,8 @@ def _walk_work(monkeypatch, call):
     """The report of ``call()``, with counts of its ``_conv`` calls and of the
     sums over a map in ``identities`` (the walk's dot products and the
     entries of its coordinate vectors) and over a tuple: one per row the walk
-    compares, the sum of its prefix, one per lattice row that ``_point_rows``
-    yields, the sum that bounds its last coordinates, and a ``sums``
-    counterexample's ``x_sum``."""
+    compares, the sum of its prefix, and a ``sums`` counterexample's
+    ``x_sum``."""
     counts = Counter()
     conv = identities._conv
 
@@ -264,8 +263,8 @@ def _walk_work(monkeypatch, call):
     [
         # the order-4 lattice proves the grid: its 23 sorted prefixes of three
         # coordinates and their 8 leading runs of two, each convolved once, and
-        # one dot per sorted lattice point, 94 (the grid's sorted walk: 352
-        # and 1,001; the full grid: 1,452 and 14,641)
+        # one dot per sorted lattice point, 94 (the full grid: 1,452 and
+        # 14,641)
         (lambda: check_sums_of_products(2, 4, 10), 10, 1, 31, 94, False),
         # fold 3's 44 sorted prefixes a <= b with a + 2b <= 20, and the 121 +
         # 358 sorted points of folds 2 and 3 (all points: 231 and 2,002)
@@ -295,8 +294,7 @@ def test_walk_work_is_pinned(monkeypatch, call, n, walks, convs, dots, sampled):
 
 
 def test_sums_sample_counts_lattice_rows_only_past_its_points(monkeypatch):
-    # the order-8 lattice at n = 40 has 9,749 sorted rows among some 6 * 10^7
-    # sorted prefixes, seconds of work to run through; 4 points draw 5
+    # the order-8 lattice at n = 40 has 9,749 sorted rows; 4 points draw 5
     # rows, then only the sample is walked: 4 points of 6 convolutions each
     rows = identities._point_rows
     drawn = Counter()
@@ -328,24 +326,21 @@ def test_kamano_walk_work_is_pinned(monkeypatch):
 @pytest.mark.parametrize(
     "call,idx,convs,map_sums,tuple_sums",
     [
-        # the first sorted row, (0, 0, 0) and 0..10, is the lattice's and
-        # the grid's: each walk convolves the prefix's runs of two and three
-        # once, takes one sum per p_0..p_10 for each of the 11 coordinates
-        # and 11 dots for the row, and sums the prefix; the lattice's rows
-        # sum it once more for their bound, and the counterexample its x_sum
-        (lambda: check_sums_of_products(2, 4, 10), 10, 4, 2 * (11 * 11 + 11), 4),
+        # the lattice's first sorted row, (0, 0, 0) and 0..10: the walk
+        # convolves the prefix's runs of two and three once, takes one sum
+        # per p_0..p_10 for each of the 11 coordinates and 11 dots for the
+        # row, and sums the prefix; the counterexample sums its x_sum
+        (lambda: check_sums_of_products(2, 4, 10), 10, 2, 11 * 11 + 11, 2),
         # fold 2's first row, (0,) and 0..20: 21 coordinates of 21 sums each
-        # and 21 dots; its prefix is summed for the lattice bound and the walk
-        (lambda: check_two_three_sums(2, 20), 20, 0, 21 * 21 + 21, 2),
+        # and 21 dots; the walk sums its prefix
+        (lambda: check_two_three_sums(2, 20), 20, 0, 21 * 21 + 21, 1),
     ],
     ids=["sums-grid", "two-three"],
 )
 def test_failing_cell_walks_once(monkeypatch, call, idx, convs, map_sums, tuple_sums):
-    # x^idx added to p_idx fails the cell at its second point.  two-three
-    # walks its lattice once and reports that walk's mismatch; sums first
-    # tries the lattice, which fails at the same row, then walks the grid
-    # once and reports the grid's.  A walk over the whole set on top would
-    # add one more walk's work to every count
+    # x^idx added to p_idx fails the cell at its second point.  Both checks
+    # walk only the lattice, once, and report that walk's mismatch.  A
+    # second walk on top would add one more walk's work to every count
     _bump_poly(monkeypatch, idx)
     rep, counts = _walk_work(monkeypatch, call)
     assert (rep.status, rep.cells_checked) == (FAIL, 2)
@@ -510,7 +505,9 @@ def _bump_poly(monkeypatch, idx, coeff=-1, amount=1):
 
 
 # the exact first counterexample and the number of cells it took to reach it,
-# for each failure path of the grid and sample walkers
+# for each failure path of the lattice and sample walkers: the order-2 lattice
+# at n = 3 has 2 sorted rows, more than 1 sampled point, so that sample is
+# walked, and no more than 4, so the lattice decides that sample's cell
 @pytest.mark.parametrize(
     "idx,coeff,call,cells,counter",
     [
@@ -523,18 +520,22 @@ def _bump_poly(monkeypatch, idx, coeff=-1, amount=1):
         (1, -1, lambda: check_sums_of_products(1, 3, 3), 2,
          {"x_points": ["0", "0", "1"], "x_sum": "1", "lhs_direct": "11/4",
           "lhs_collapsed": "1/4", "rhs": "1/4"}),
-        (2, -1, lambda: check_sums_of_products(1, 2, 3, mode="sample", sample_count=4, seed=7), 1,
+        (2, -1, lambda: check_sums_of_products(1, 2, 3, mode="sample", sample_count=1, seed=7), 1,
          {"x_points": ["15/17", "-7/81"], "x_sum": "1096/1377",
           "lhs_direct": "-6619139359/5221939266",
           "lhs_collapsed": "488436167/5221939266",
           "rhs": "-1536814009/5221939266"}),
+        (2, -1, lambda: check_sums_of_products(1, 2, 3, mode="sample", sample_count=4, seed=7), 2,
+         {"x_points": ["0", "1"], "x_sum": "1", "lhs_direct": "-3/2",
+          "lhs_collapsed": "0", "rhs": "0"}),
         (1, -1, lambda: check_two_three_sums(2, 4), 2,
          {"fold": 2, "x_points": ["0", "1"], "lhs": "1/270", "rhs": "-11/270"}),
         # a raised constant term passes every fold-2 point at level 1, n = 3
         (2, 0, lambda: check_two_three_sums(1, 3), 11,
          {"fold": 3, "x_points": ["0", "0", "0"], "lhs": "-45/4", "rhs": "9/4"}),
     ],
-    ids=["sums-r2", "sums-r1", "sums-r3", "sums-sample", "two-three-fold2", "two-three-fold3"],
+    ids=["sums-r2", "sums-r1", "sums-r3", "sums-sample", "sums-sample-lattice", "two-three-fold2",
+         "two-three-fold3"],
 )
 def test_grid_failure_paths_are_pinned(monkeypatch, idx, coeff, call, cells, counter):
     _bump_poly(monkeypatch, idx, coeff)
@@ -560,16 +561,20 @@ def test_replay_confirms_the_count(monkeypatch, idx, coeff, call):
         assert not replay(replace(rep, cells_checked=edited))
 
 
-@pytest.mark.parametrize("lattice", [False, True], ids=["grid", "lattice"])
-def test_point_rows_cover_the_point_sets(lattice):
-    # the rows hold the nondecreasing points of the set once each, in
-    # lexicographic order, and every point's rank is its index in the set
-    for n, fold in itertools.product(range(7), range(1, 5)):
-        points = [a for a in itertools.product(range(n + 1), repeat=fold) if not lattice or sum(a) <= n]
-        assert len(points) == (math.comb(n + fold, fold) if lattice else (n + 1) ** fold)
-        rows = [prefix + (x,) for prefix, lasts in identities._point_rows(n, fold, lattice) for x in lasts]
+def test_point_rows_cover_the_point_sets():
+    # the rows hold the nondecreasing points of the lattice once each, in
+    # lexicographic order, and every point's rank is its index in the lattice
+    for n, fold in itertools.product(range(7), range(1, 7)):
+        points = [a for a in itertools.product(range(n + 1), repeat=fold) if sum(a) <= n]
+        assert len(points) == math.comb(n + fold, fold)
+        rows = [prefix + (x,) for prefix, lasts in identities._point_rows(n, fold) for x in lasts]
         assert rows == [a for a in points if list(a) == sorted(a)]
-        assert [identities._lex_rank(a, n, lattice) for a in points] == list(range(len(points)))
+        assert [identities._lex_rank(a, n) for a in points] == list(range(len(points)))
+    # the rows are enumerated, not filtered from the grid's some 6 * 10^7
+    # sorted prefixes of seven coordinates
+    start = time.perf_counter()
+    assert sum(1 for _ in identities._point_rows(40, 8)) == 9_749
+    assert time.perf_counter() - start < 0.5
 
 
 def _full_walk(polys, n, fold, sides, lattice=False):
@@ -586,12 +591,12 @@ def _full_walk(polys, n, fold, sides, lattice=False):
 
 @st.composite
 def _bumped_cells(draw):
-    # a sums grid cell or a two-three lattice cell, read at an order-1 table
-    # with c x^k on one p_i or none; k <= i keeps the degree premise, so the
-    # walk decides the cell
+    # a sums grid cell or a two-three cell, both walked on the lattice, read
+    # at an order-1 table with c x^k on one p_i or none; k <= i keeps the
+    # degree premise, so the walk decides the cell
     level = draw(st.integers(min_value=1, max_value=3))
-    lattice = draw(st.booleans())
-    if lattice:
+    suite = draw(st.sampled_from(["sums", "two-three"]))
+    if suite == "two-three":
         n = draw(st.integers(min_value=1, max_value=8))
         cell = level, n
     else:
@@ -599,68 +604,80 @@ def _bumped_cells(draw):
         cell = level, r, draw(st.integers(min_value=max(r - 1, 0), max_value=6))
     n = cell[-1]
     bumps = draw(st.lists(st.tuples(st.integers(0, n), st.integers(0, n), rationals), max_size=1))
-    return lattice, cell, [(i, min(k, i), c) for i, k, c in bumps]
+    return suite, cell, [(i, min(k, i), c) for i, k, c in bumps]
 
 
 @settings(deadline=None, max_examples=60)
 @given(_bumped_cells())
 # the failures that test_grid_failure_paths_are_pinned pins, and two whose
 # first mismatch, (1, 2), comes after an unsorted point, (1, 0)
-@example((False, (1, 2, 3), [(0, 0, 1)]))
-@example((True, (1, 3), [(2, 0, 1)]))
-@example((False, (1, 2, 4), [(1, 1, 1)]))
-@example((True, (1, 4), [(1, 1, 1)]))
+@example(("sums", (1, 2, 3), [(0, 0, 1)]))
+@example(("two-three", (1, 3), [(2, 0, 1)]))
+@example(("sums", (1, 2, 4), [(1, 1, 1)]))
+@example(("two-three", (1, 4), [(1, 1, 1)]))
 def test_sorted_walk_reports_the_full_walk(case):
-    lattice, cell, bumps = case
+    suite, cell, bumps = case
 
     def check():
-        if lattice:
+        if suite == "two-three":
             return check_two_three_sums(*cell)
         return check_sums_of_products(*cell, mode="grid")
+
+    def full_lattice_walk(polys, n, fold, sides):
+        return _full_walk(polys, n, fold, sides, lattice=True)
 
     with pytest.MonkeyPatch.context() as mp:
         for i, k, c in bumps:
             _bump_poly(mp, i, k, c)
         got = check()
-        mp.setattr(identities, "_walk_point_set", _full_walk)
+        mp.setattr(identities, "_walk_lattice", full_lattice_walk)
         assert got == check()
 
 
 @pytest.mark.parametrize(
-    "fold,n,wrong_sum,count,point",
-    [(3, 4, 9, 50, (1, 4, 4)), (4, 3, 10, 128, (1, 3, 3, 3))],
-    ids=["fold3", "fold4"],
+    "fold,count,point", [(3, 61, (2, 2, 2)), (4, 346, (2, 2, 2, 2))], ids=["fold3", "fold4"]
 )
-def test_sorted_walk_counts_every_coordinate(fold, n, wrong_sum, count, point):
-    # a side wrong only at one coordinate sum fails first at the least grid
-    # point with that sum, whose rank takes a term from every coordinate
-    polys = hb_polys(2, n).polys
-    vanish = UniPoly((1,))
-    for s in range(fold * n + 1):
-        if s != wrong_sum:
-            vanish = vanish * UniPoly((-s, 1))
-    sides = [hb_higher_polys_series(2, fold, n).polys[n] + vanish]
-    got = identities._walk_point_set(polys, n, fold, sides)
-    assert got == _full_walk(polys, n, fold, sides)
+def test_sorted_walk_counts_every_coordinate(fold, count, point):
+    # with p_0 = 1, p_2 = x(x - 1) and every other p_i = 0, the multinomial
+    # sum at n = 2 fold is n!/2^fold times the product of a_j(a_j - 1): zero,
+    # as the zero side is, wherever a coordinate is 0 or 1.  So the walk
+    # fails first at (2, ..., 2), whose rank takes a term from every
+    # coordinate; a side wrong at one sum would fail first at (0, ..., 0, s)
+    n = 2 * fold
+    polys = [UniPoly((1,)), UniPoly(()), UniPoly((0, -1, 1))] + [UniPoly(())] * (n - 2)
+    sides = [UniPoly(())]
+    got = identities._walk_lattice(polys, n, fold, sides)
+    assert got == _full_walk(polys, n, fold, sides, lattice=True)
     assert (got[0], got[1][0]) == (count, point)
 
 
-def _requested_walk_report(N, r, n, mode, sample_count, seed):
-    """The sums report from the requested walk alone, with no lattice first:
-    the grid's sorted walk, or the walk over the seeded sample's points."""
+def _sums_oracle_report(N, r, n, mode, sample_count, seed):
+    """The sums report from walks that share nothing with the check's choice
+    of walk but ``_first_mismatch``: the seeded sample's own walk when the
+    lattice has more sorted rows than the sample has points, found by
+    filtering the sorted prefixes; otherwise the full grid's verdict, with
+    the full lattice walk's first mismatch and count on a failure."""
     polys1 = identities.hb_polys(N, n).polys
     sides = [identities.hb_higher_polys_series(N, r, n).polys[n],
              _closed_form(N, r, n, a_poly(N, r).entries, polys1)]
     params = {"N": N, "r": r, "n": n}
     if mode == "grid":
-        details = {"mode": "grid"}
-        checked, mismatch = identities._walk_point_set(polys1, n, r, sides)
+        details, cells = {"mode": "grid"}, (n + 1) ** r
     else:
         rng = identities._cell_rng(seed, "sums", N, r, n)
         points = [tuple(identities._random_rational(rng) for _ in range(r)) for _ in range(sample_count)]
         details = {"mode": "sample", "seed": seed, "sample_count": sample_count,
                    "points": [[format_rational(c) for c in pt] for pt in points]}
+        cells = sample_count
+    prefixes = itertools.combinations_with_replacement(range(n + 1), r - 1)
+    lattice_rows = sum(1 for p in prefixes if (p[-1] if p else 0) <= n - sum(p))
+    if mode == "sample" and lattice_rows > sample_count:
         checked, mismatch = _first_mismatch(polys1, n, [(pt[:-1], pt[-1:]) for pt in points], sides)
+    elif _full_walk(polys1, n, r, sides)[1] is None:
+        checked, mismatch = cells, None
+    else:
+        checked, mismatch = _full_walk(polys1, n, r, sides, lattice=True)
+        assert mismatch is not None  # the lattice is unisolvent: it sees the grid's failure
     if mismatch is None:
         return VerifyReport("sums", params, PASS, checked, details=details)
     point, direct, (collapsed, closed) = mismatch
@@ -688,13 +705,14 @@ def _sums_requests(draw):
 @settings(deadline=None, max_examples=60)
 @given(_sums_requests())
 # proved on the lattice: a grid, and a sample with no fewer points than
-# lattice rows; a failing lattice whose grid or sample decides the report
-# (test_grid_failure_paths_are_pinned's cells); and a sample with fewer
-# points than lattice rows
+# lattice rows; failed on the lattice: a grid and a sample
+# (test_grid_failure_paths_are_pinned's cells); and samples with fewer
+# points than lattice rows, failing and passing
 @example(((2, 4, 10, "grid", 64, 1), []))
 @example(((3, 3, 9, "sample", 64, 2), []))
 @example(((1, 2, 3, "grid", 64, 1), [(0, 0, 1)]))
 @example(((1, 2, 3, "sample", 4, 7), [(2, 2, 1)]))
+@example(((1, 2, 3, "sample", 1, 7), [(2, 2, 1)]))
 @example(((2, 4, 10, "sample", 16, 3), [(3, 1, Fraction(-1, 2))]))
 @example(((1, 3, 8, "sample", 4, 1), []))
 def test_sums_report_is_the_requested_walks(request):
@@ -704,15 +722,15 @@ def test_sums_report_is_the_requested_walks(request):
             _bump_poly(mp, i, k, c)
         N, r, n, mode, count, seed = cell
         got = check_sums_of_products(N, r, n, mode=mode, sample_count=count, seed=seed)
-        assert got == _requested_walk_report(*cell)
+        assert got == _sums_oracle_report(*cell)
 
 
-def test_sums_sample_decides_when_the_lattice_fails(monkeypatch):
-    # the collapsed side plus c (x - s_1)(x - s_2), with s_1, s_2 the coordinate
+def test_sums_lattice_fails_a_sample_that_misses(monkeypatch):
+    # the collapsed side plus (x - s_1)(x - s_2), with s_1, s_2 the coordinate
     # sums of the 2 sampled points, keeps the degree premise (2 <= 3) and
     # differs at every lattice sum 0..3; the lattice's 2 rows are no more than
-    # the points, so it is walked first and fails, and the sample, which
-    # misses the change, decides the report: a pass, as the sample alone gives
+    # the points, so it decides the cell: it fails at its first point, though
+    # the sample alone misses the change and would pass
     exact = check_sums_of_products(1, 2, 3, mode="sample", sample_count=2, seed=1)
     wrong = UniPoly((1,))
     for point in exact.details["points"]:
@@ -724,11 +742,16 @@ def test_sums_sample_decides_when_the_lattice_fails(monkeypatch):
         return replace(table, polys=table.polys[:top] + (table.polys[top] + wrong,))
 
     monkeypatch.setattr(identities, "hb_higher_polys_series", shifted)
-    sides = [shifted(1, 2, 3).polys[3], _closed_form(1, 2, 3, a_poly(1, 2).entries, hb_polys(1, 3).polys)]
-    checked, mismatch = identities._walk_point_set(hb_polys(1, 3).polys, 3, 2, sides, lattice=True)
-    assert mismatch is not None and mismatch[0] == (0, 0)
+    polys1 = hb_polys(1, 3).polys
+    sides = [shifted(1, 2, 3).polys[3], _closed_form(1, 2, 3, a_poly(1, 2).entries, polys1)]
+    points = [tuple(map(Fraction, pt)) for pt in exact.details["points"]]
+    assert _first_mismatch(polys1, 3, [(pt[:-1], pt[-1:]) for pt in points], sides) == (2, None)
     got = check_sums_of_products(1, 2, 3, mode="sample", sample_count=2, seed=1)
-    assert got == exact == _requested_walk_report(1, 2, 3, "sample", 2, 1)
+    assert (got.status, got.cells_checked, got.details) == (FAIL, 1, exact.details)
+    assert got.counterexample["x_points"] == ["0", "0"]
+    assert got.counterexample["lhs_collapsed"] == "-10141/51156"
+    assert got == _sums_oracle_report(1, 2, 3, "sample", 2, 1)
+    assert replay(got)
     grid = check_sums_of_products(1, 2, 3, mode="grid")
     assert (grid.status, grid.cells_checked) == (FAIL, 1)
 
@@ -765,8 +788,10 @@ def test_sums_identity_expands_to_zero_in_sympy():
 
 @pytest.mark.parametrize("bumped", [False, True], ids=["exact", "p2-plus-x"])
 def test_sums_verdict_matches_sympy_difference(monkeypatch, bumped):
-    # p_2 + x keeps the degree premise, so only the grid walk can reject it:
-    # the check must fail exactly when sympy's difference is nonzero
+    # p_2 + x keeps the degree premise, so only the lattice walk can reject
+    # it: the check must fail exactly when sympy's difference is nonzero, for
+    # the grid and for a sample of 2 points, as many as the lattice's rows,
+    # whose verdict the lattice decides
     sympy = pytest.importorskip("sympy")
     polys1 = list(hb_polys_sympy(1, 1, 3))
     if bumped:
@@ -774,7 +799,10 @@ def test_sums_verdict_matches_sympy_difference(monkeypatch, bumped):
         polys1[2] += sympy.Symbol("x")
     direct, collapsed, closed = _sums_sides_sympy(1, 2, 3, polys1)
     nonzero = any(sympy.expand(side - collapsed) != 0 for side in (direct, closed))
-    assert (check_sums_of_products(1, 2, 3).status == FAIL) == nonzero
+    grid = check_sums_of_products(1, 2, 3)
+    sample = check_sums_of_products(1, 2, 3, mode="sample", sample_count=2)
+    assert (grid.status == FAIL) == (sample.status == FAIL) == nonzero
+    assert sample.counterexample == grid.counterexample  # the lattice's, or None
     assert nonzero == bumped
 
 
@@ -903,8 +931,8 @@ def test_two_three_verdict_matches_sympy_difference(monkeypatch, bumped):
 
 # --- the proof argument against sympy ---------------------------------------------
 #
-# Each perturbation keeps the degree premise, so only the grid or lattice walk
-# can reject it: a check must fail exactly when sympy's expanded difference of
+# Each perturbation keeps the degree premise, so only the lattice walk can
+# reject it: a check must fail exactly when sympy's expanded difference of
 # the perturbed identity is nonzero, at a point past the premise.
 
 
@@ -924,8 +952,8 @@ def _sums_grid_matches_sympy(N, r, n, direct, collapsed, closed):
     [(1, 2, 3, 2, 0), (1, 2, 3, 1, 1), (2, 3, 5, 4, 4), (2, 3, 5, 3, 1), (1, 1, 3, 3, 2)],
 )
 def test_table_bump_verdicts_match_sympy(monkeypatch, N, r, n, i, k):
-    # x^k on p_i with k <= i reaches both the sums grid and the two-three
-    # lattice; the lattice's verdict names the first fold whose difference
+    # x^k on p_i with k <= i reaches both the sums and the two-three
+    # lattices; the two-three verdict names the first fold whose difference
     # is nonzero (at level 1, n = 3, a raised constant on p_2 passes fold 2)
     sympy = pytest.importorskip("sympy")
     _bump_poly(monkeypatch, i, coeff=k)
