@@ -241,20 +241,6 @@ def _degree_excess(polys, n: int, sides) -> dict | None:
     return None
 
 
-def _run_conv(convs: dict, key: tuple, n: int):
-    """The truncated convolution of the vectors with ids ``key`` and the
-    product of their scales, memoized in ``convs`` under ``key`` and each
-    leading run of it.  ``convs`` holds the empty run, the unit, and each
-    coordinate's vector as its run of one, so only longer runs are built,
-    each by one ``_conv`` of its leading run with its last vector."""
-    held = convs.get(key)
-    if held is None:
-        conv, m = _run_conv(convs, key[:-1], n)
-        u, m_u = convs[key[-1:]]
-        held = convs[key] = _conv(conv, u, n + 1), m * m_u
-    return held
-
-
 def _first_mismatch(polys, n: int, rows, sides):
     """Compare the multinomial sum of the values of polys[0..n] at each point
     of each row with every side polynomial at the point's coordinate sum, in
@@ -272,15 +258,16 @@ def _first_mismatch(polys, n: int, rows, sides):
     share the scale, and the sum at prefix + (lasts[j],) is
     n! * dots[j] / scale with integer dots[j].
 
-    The sum is symmetric in the points, so everything it needs from a prefix
-    depends only on the prefix's multiset of coordinates.  Three memos, each
-    local to the call, hold one relation each:
+    The walk holds, local to the call:
 
-    - ``ids``: a coordinate to its id, given when first seen;
-    - ``convs``: a prefix's sorted ids to the truncated convolution of
-      their vectors and its scale, built by :func:`_run_conv` from the
-      longest leading run held; a coordinate's own vector and its scale are
-      held here as its run of one, ``(id,)``;
+    - ``vectors``: a coordinate to its vector and scale, built on first sight;
+    - ``stack``, along the current row's prefix: entry j holds the truncated
+      convolution of the vectors of prefix[:j] and the product of their
+      scales, with the unit at entry 0.  Each row pops back to the leading
+      run its prefix shares with the row before and pushes one ``_conv`` per
+      new coordinate (a run of one is the coordinate's own vector), so rows
+      in lexicographic order, as the lattice's are, convolve each prefix
+      once along the walk;
     - ``targets``: a scale, then a coordinate sum, to the target.
 
     A point's target is the integer its dot must be for every side to hold,
@@ -306,27 +293,20 @@ def _first_mismatch(polys, n: int, rows, sides):
     d = math.lcm(*(p.den for p in polys))
     int_coeffs = [[c * (d // p.den) for c in p.nums] for p in polys]
     fall = [fact_n // math.factorial(i) for i in range(n + 1)]
-    ids: dict = {}  # coordinate -> its id
-    convs: dict = {(): ([1] + [0] * n, 1)}  # sorted ids -> (convolution, scale)
+    vectors: dict = {}  # coordinate -> (vector, scale)
 
-    def idents(xs) -> list[int]:
-        # the ids of the coordinates xs, each looked up once; a vector is
-        # built on first sight and held in convs as its run of one
-        got = []
-        for x in xs:
-            i = ids.get(x)
-            if i is None:
-                a, b = x.numerator, x.denominator
-                a_pows, b_pows = (
-                    list(itertools.accumulate(itertools.repeat(c, n), operator.mul, initial=1))
-                    for c in (a, b)
-                )
-                powers = list(map(operator.mul, a_pows, reversed(b_pows)))  # a^k b^(n-k)
-                u = [f * sum(map(operator.mul, coeffs, powers)) for coeffs, f in zip(int_coeffs, fall)]
-                i = ids[x] = len(ids)
-                convs[i,] = u, d * fact_n * b_pows[-1]
-            got.append(i)
-        return got
+    def vector(x):
+        held = vectors.get(x)
+        if held is None:
+            a, b = x.numerator, x.denominator
+            a_pows, b_pows = (
+                list(itertools.accumulate(itertools.repeat(c, n), operator.mul, initial=1))
+                for c in (a, b)
+            )
+            powers = list(map(operator.mul, a_pows, reversed(b_pows)))  # a^k b^(n-k)
+            u = [f * sum(map(operator.mul, coeffs, powers)) for coeffs, f in zip(int_coeffs, fall)]
+            held = vectors[x] = u, d * fact_n * b_pows[-1]
+        return held
 
     int_sides = [(side.nums, side.den) for side in sides]
 
@@ -344,10 +324,22 @@ def _first_mismatch(polys, n: int, rows, sides):
 
     targets: dict = {}  # scale -> {coordinate sum -> target}
     checked = 0
+    # stack[j]: (convolution, scale) of along[:j], along the last row's prefix
+    stack, along = [([1] + [0] * n, 1)], ()
     for prefix, lasts in rows:
-        conv, m = _run_conv(convs, tuple(sorted(idents(prefix))), n)
+        keep = 0  # the leading run that prefix shares with along
+        for held, x in zip(along, prefix):
+            if held != x:
+                break
+            keep += 1
+        del stack[keep + 1 :]
+        for u, m_u in map(vector, prefix[keep:]):
+            conv, m = stack[-1]
+            stack.append((_conv(conv, u, n + 1), m * m_u) if len(stack) > 1 else (u, m_u))
+        along = prefix
+        conv, m = stack[-1]
         rev = conv[::-1]  # dots[j] = sum_k conv[n-k] u_j[k], u_j the vector of lasts[j]
-        last_vectors = [convs[i,] for i in idents(lasts)]
+        last_vectors = [vector(x) for x in lasts]
         dots = [sum(map(operator.mul, rev, u)) for u, _ in last_vectors]
         scale = m * last_vectors[0][1]
         x0 = sum(prefix)
@@ -367,18 +359,20 @@ def _first_mismatch(polys, n: int, rows, sides):
 def _point_rows(n: int, fold: int):
     """The nondecreasing points a_1 <= ... <= a_fold of the principal lattice
     {a : sum(a) <= n} of that fold, as the rows (prefix, range of last
-    coordinates) of :func:`_first_mismatch`, in lexicographic order.  A
-    coordinate with ``free`` coordinates left, itself included, leaves each
-    of them at least its value, so it runs only to ``budget // free``."""
+    coordinates) of :func:`_first_mismatch`, in lexicographic order."""
+    return _lattice_rows((), 0, n, fold)
 
-    def rows(prefix, low, budget, free):
-        if free == 1:
-            yield prefix, range(low, budget + 1)
-            return
-        for c in range(low, budget // free + 1):
-            yield from rows(prefix + (c,), c, budget - c, free - 1)
 
-    return rows((), 0, n, fold)
+def _lattice_rows(prefix, low, budget, free):
+    """The rows of :func:`_point_rows` below ``prefix``, its coordinates at
+    least ``low`` and summing to at most ``budget``.  A coordinate with
+    ``free`` coordinates left, itself included, leaves each of them at least
+    its value, so it runs only to ``budget // free``."""
+    if free == 1:
+        yield prefix, range(low, budget + 1)
+        return
+    for c in range(low, budget // free + 1):
+        yield from _lattice_rows(prefix + (c,), c, budget - c, free - 1)
 
 
 def _lex_rank(point, n: int) -> int:
@@ -488,8 +482,8 @@ def check_sums_of_products(
 
     sides = [higher, rhs]
     # the collapsed side and the closed form depend on the point only through
-    # its sum, and the direct side is symmetric in the points: it is computed
-    # once per multiset of leading coordinates
+    # its sum, and the direct side is symmetric in the points: the lattice is
+    # walked at its nondecreasing points, each sorted prefix convolved once
     if mode == "grid":
         details, cells, rows = {"mode": "grid"}, (n + 1) ** r, None
     else:

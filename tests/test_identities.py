@@ -3,6 +3,7 @@ import itertools
 import math
 import sys
 import time
+import tracemalloc
 from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
@@ -195,9 +196,9 @@ def test_row_walk_matches_point_walk(walk):
 @st.composite
 def _grid_walks(draw):
     # full product grids, so that every permutation of each prefix is walked
-    # and reads its convolution from the walk's multiset memo; each row draws
-    # its own last coordinates, so that permuted prefixes sometimes end their
-    # rows alike and sometimes not
+    # and the walk's prefix stack pops back to runs of every length; each row
+    # draws its own last coordinates, so that permuted prefixes sometimes end
+    # their rows alike and sometimes not
     level = draw(st.integers(min_value=1, max_value=3))
     n = draw(st.integers(min_value=0, max_value=4))
     fold = draw(st.integers(min_value=1, max_value=4))
@@ -273,8 +274,9 @@ def _walk_work(monkeypatch, call):
         # proves the sample: 64 + 17 prefix runs, 359 sorted points (walking
         # the sample: 128 and 64)
         (lambda: check_sums_of_products(2, 4, 16), 16, 1, 81, 359, False),
-        # one point fewer than those rows, so only the sample is walked; every
-        # sampled prefix is a multiset of its own: 63 points, 2 convolutions each
+        # one point fewer than those rows, so only the sample is walked; each
+        # sampled point is a row of its own, whose prefix shares no leading
+        # run with the row before: 63 points, 2 convolutions each
         (lambda: check_sums_of_products(2, 4, 16, sample_count=63), 16, 1, 126, 63, True),
         # 532 lattice rows, more than 32 points: 32 points, 4 convolutions each
         (lambda: check_sums_of_products(1, 6, 24, sample_count=32), 24, 1, 128, 32, True),
@@ -314,9 +316,9 @@ def test_sums_sample_counts_lattice_rows_only_past_its_points(monkeypatch):
 
 
 def test_kamano_walk_work_is_pinned(monkeypatch):
-    # the one point (0, 0, 0, 0): its prefix's key (0, 0, 0) repeats one id,
-    # whose leading runs of two and three are convolved once each, then one
-    # dot; the coordinate 0 takes one sum per number B_0..B_10
+    # the one point (0, 0, 0, 0): its prefix (0, 0, 0) pushes its leading
+    # runs of two and three onto the walk's stack, one convolution each, then
+    # one dot; the coordinate 0 takes one sum per number B_0..B_10
     rep, counts = _walk_work(monkeypatch, lambda: check_kamano(2, 4, 10))
     assert rep.status == PASS
     assert counts["convs"] == 2
@@ -350,7 +352,9 @@ def test_failing_cell_walks_once(monkeypatch, call, idx, convs, map_sums, tuple_
 
 
 def test_walk_leaves_no_cyclic_garbage():
-    # every memo is a local of its call, freed by refcount on return
+    # the walk's vectors, prefix stack and targets are locals of its call, and
+    # the lattice's rows come from module-level generators: all are freed by
+    # refcount, in a bare walk and in the suites that walk the lattice
     polys = hb_polys(2, 6).polys
     grid = [(prefix, range(7)) for prefix in itertools.product(range(7), repeat=3)], 4
     sampled = [((Fraction(1, 2), Fraction(-5, 3)), (Fraction(7, 4),))], 3
@@ -362,8 +366,27 @@ def test_walk_leaves_no_cyclic_garbage():
         for rows, sides in walks:
             assert _first_mismatch(polys, 6, rows, sides) == (len(rows) * len(rows[0][1]), None)
         assert gc.collect() == 0
+        reports = run_suite(SuiteConfig(suites=("sums", "two-three")))
+        assert FAIL not in {rep.status for rep in reports}
+        assert gc.collect() == 0
     finally:
         gc.enable()
+
+
+def test_walk_memory_does_not_grow_with_the_lattice():
+    # the order-8 lattice at n = 16 has 735,471 points, 795 of them sorted, in
+    # 186 rows; the walk holds the runs of one prefix, so its peak is a few
+    # vectors and targets, about 0.05 MiB, where a memo of every prefix seen
+    # grows with the lattice (0.655 MiB here)
+    polys = hb_polys(2, 16).polys
+    sides = [hb_higher_polys_series(2, 8, 16).polys[16]]
+    tracemalloc.start()
+    try:
+        assert identities._walk_lattice(polys, 16, 8, sides) == (math.comb(24, 8), None)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 0.2 * 2**20
 
 
 # --- number identity ----------------------------------------------------------
@@ -1486,11 +1509,12 @@ _ROUTE_BREAKS = {
     "_derivatives": (lambda chain, p: _bump_first_derivative(chain), {"appell", "ode"}),
     # each closed-form entry A_r(i, x; s) at the cell's s, raised by 1
     "bipoly_subst_s": (lambda p, a, sval: p + _ONE, {"kamano", "sums"}),
-    # the multinomial walk's convolutions of two or more vectors: entry 0 of
-    # each raised by its scale, that is by 1 in value
-    "_run_conv": (
-        lambda held, convs, key, n: ([held[0][0] + held[1], *held[0][1:]], held[1])
-        if len(key) > 1 else held,
+    # the multinomial walk's only convolution, of a prefix's leading run with
+    # its next coordinate's vector: entry 0 of each product raised by 1.  Only
+    # a prefix of two or more coordinates is convolved: kamano and sums at
+    # r = 3 and two-three's fold 3 have them
+    "_conv": (
+        lambda product, run, u, size: [product[0] + 1, *product[1:]],
         {"kamano", "sums", "two-three"},
     ),
 }
