@@ -338,32 +338,28 @@ def bipoly_subst_s(a: BiPoly, sval: RationalLike) -> UniPoly:
 
 
 def bipoly_shift_s(a: BiPoly, offset: RationalLike) -> BiPoly:
-    """Compose s -> s + offset by exact binomial re-expansion of each s power.
+    """Compose s -> s + offset by Taylor's shift of each row in integers.
 
-    With offset p/q and D the s-degree, q^D (s + p/q)^j is
-    sum_k C(j, k) p^(j-k) q^(D-j+k) s^k, so each row's numerators are
-    re-expanded by those integer weights and its denominator scaled by q^D.
-    TypeError unless offset is an exact scalar.
+    With offset p/q and a row sum_k c_k s^k of degree D, q^D times the row
+    at s + p/q is sum_k h_k (q s + p)^k with h_k = c_k q^(D-k).  Horner's
+    scheme shifts h by the integer p (``h[k] += p * h[k + 1]`` for k from
+    D-1 down to i, for i = 0..D-1), so that the shifted row has numerator
+    h_k q^k at s^k over the row's denominator times q^D.  A zero row stays
+    zero.  TypeError unless offset is an exact scalar.
     """
     _exact(offset)
-    if a.is_zero or offset == 0:
+    if offset == 0:
         return a
-    p, q, deg = offset.numerator, offset.denominator, a.s_degree
-    # column k holds the weights of s^k, for j = k..deg
-    columns = [
-        [math.comb(j, k) * p ** (j - k) * q ** (deg - j + k) for j in range(k, deg + 1)]
-        for k in range(deg + 1)
-    ]
-    top = q**deg
-    return BiPoly(
-        tuple(
-            UniPoly.from_integers(
-                [sum(map(operator.mul, row.nums[k:], columns[k])) for k in range(len(row.nums))],
-                row.den * top,
-            )
-            for row in a.rows
-        )
-    )
+    p, q = offset.numerator, offset.denominator
+    rows = []
+    for row in a.rows:
+        deg = max(len(row.nums) - 1, 0)  # a zero row has no numerators to shift
+        h = [c * q ** (deg - k) for k, c in enumerate(row.nums)]
+        for i in range(deg):
+            for k in range(deg - 1, i - 1, -1):
+                h[k] += p * h[k + 1]
+        rows.append(UniPoly.from_integers([c * q**k for k, c in enumerate(h)], row.den * q**deg))
+    return BiPoly(tuple(rows))
 
 
 # ---------------------------------------------------------------------------

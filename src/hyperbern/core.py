@@ -247,59 +247,73 @@ def hb_order_step(table: HBPolyTable, n: int) -> UniPoly:
 
 
 def _a_table(N: int, r: int, keep_x: bool) -> APolyTable:
-    """The A-coefficient recurrence, written row by row.
+    """The A-coefficient recurrence, run shift-free and shifted once per entry.
 
-    With a = A_{r-1}(i)|_{s -> s-N} and b = A_{r-1}(i-1)|_{s -> s-N+1}
-    (out-of-range entries zero), the coefficient of x^k in A_r(i) is
+    In the variable u = s - (r-1)N + i, every term of A_r(i) carries the
+    same shift, so G_r(i)(u) = A_r(i)(u + (r-1)N - i) obeys
 
-        ((s-1) a_k - b_{k-1})/(r-1) + b_k,
+        G_1(0) = 1
+        G_r(i) = (u+(r-1)N-i-1)/(r-1) * G_{r-1}(i) - (x-(r-1))/(r-1) * G_{r-1}(i-1)
+
+    with out-of-range entries zero and no shift of s.  With a = G_{r-1}(i)
+    and b = G_{r-1}(i-1), the coefficient of x^k in G_r(i) is
+
+        ((u+(r-1)N-i-1) a_k - b_{k-1})/(r-1) + b_k,
 
     one :func:`poly_combination` per row.  Without ``keep_x`` the b_{k-1}
     term is dropped: that is the recurrence at x = 0, where the factor
-    -(x-(r-1))/(r-1) equals 1.
+    -(x-(r-1))/(r-1) equals 1.  At the end each entry is shifted back once,
+    A_r(i)(s) = G_r(i)(s + i - (r-1)N): r calls of :func:`bipoly_shift_s`.
     """
     _check_level_order(N, 0, r)
-    zero, s_minus_1 = UniPoly(), UniPoly((-1, 1))
+    zero = UniPoly()
     entries = [BiPoly((UniPoly((1,)),))]
     for rr in range(2, r + 1):
         inv = Fraction(1, rr - 1)
         new = []
         for i in range(rr):
-            a = bipoly_shift_s(entries[i], -N).rows if i < rr - 1 else ()
-            b = bipoly_shift_s(entries[i - 1], 1 - N).rows if i else ()
+            a = entries[i].rows if i < rr - 1 else ()
+            b = entries[i - 1].rows if i else ()
+            factor = UniPoly(((rr - 1) * N - i - 1, 1))
             lower = (zero, *b) if keep_x else ()  # b_{k-1}: the rows of x b
             rows = itertools.zip_longest(a, b, lower, fillvalue=zero)
-            terms = (((inv, s_minus_1 * ak), (1, bk), (-inv, bk1)) for ak, bk, bk1 in rows)
+            terms = (((inv, factor * ak), (1, bk), (-inv, bk1)) for ak, bk, bk1 in rows)
             new.append(BiPoly(tuple(map(poly_combination, terms))))
         entries = new
-    return APolyTable(N=N, r=r, entries=tuple(entries))
+    shifted = (bipoly_shift_s(g, i - (r - 1) * N) for i, g in enumerate(entries))
+    return APolyTable(N=N, r=r, entries=tuple(shifted))
 
 
 def a_poly(N: int, r: int) -> APolyTable:
-    """Coefficient polynomial table A_r(i, x; s), i = 0..r-1, by the recurrence
+    """Coefficient polynomial table A_r(i, x; s), i = 0..r-1, by the
+    shift-free recurrence in u = s - (r-1)N + i (out-of-range entries zero)
 
-        A_1(0) = 1
-        A_r(i) = (s-1)/(r-1) * A_{r-1}(i)|_{s -> s-N}
-                 - (x-(r-1))/(r-1) * A_{r-1}(i-1)|_{s -> s-N+1}
+        G_1(0) = 1
+        G_r(i) = (u+(r-1)N-i-1)/(r-1) * G_{r-1}(i) - (x-(r-1))/(r-1) * G_{r-1}(i-1),
 
-    with out-of-range entries zero; the s-shifts are exact binomial
-    re-expansions, and each power of x is one row formula (see ``_a_table``).
-    ValueError unless N >= 1 and r >= 1.
+    one row formula per power of x (see ``_a_table``), and one shift of each
+    entry at the end, A_r(i)(s) = G_r(i)(s + i - (r-1)N).  That is the
+    paper's recurrence A_r(i) = (s-1)/(r-1) * A_{r-1}(i)|_{s -> s-N}
+    - (x-(r-1))/(r-1) * A_{r-1}(i-1)|_{s -> s-N+1}, whose two terms carry the
+    same shift.  ValueError unless N >= 1 and r >= 1.
     """
     return _a_table(N, r, keep_x=True)
 
 
 def a_poly_at_zero(N: int, r: int) -> APolyTable:
-    """The x-free coefficient table, built by its own recurrence
+    """The x-free coefficient table, built by its own shift-free recurrence
 
-        A_1(0) = 1
-        A_r(i) = (s-1)/(r-1) * A_{r-1}(i)|_{s -> s-N} + A_{r-1}(i-1)|_{s -> s-N+1}
+        G_1(0) = 1
+        G_r(i) = (u+(r-1)N-i-1)/(r-1) * G_{r-1}(i) + G_{r-1}(i-1)
 
-    rather than by substituting x = 0 into a_poly: it is the row formula of
-    ``_a_table`` without the b_{k-1} term, and never reads a_poly's result.
-    No ``verify`` suite compares the two; the package's unit tests and a
-    sympy expansion of the recurrence check that they agree.  ValueError
-    unless N >= 1 and r >= 1.
+    in u = s - (r-1)N + i, with one shift of each entry at the end,
+    A_r(i)(s) = G_r(i)(s + i - (r-1)N), rather than by substituting x = 0
+    into a_poly: it is the row formula of ``_a_table`` without the b_{k-1}
+    term, and never reads a_poly's result.  No ``verify`` suite compares the
+    two; the package's unit tests and a sympy expansion of the paper's
+    recurrence, A_r(i) = (s-1)/(r-1) * A_{r-1}(i)|_{s -> s-N}
+    + A_{r-1}(i-1)|_{s -> s-N+1}, check that they agree.  ValueError unless
+    N >= 1 and r >= 1.
     """
     return _a_table(N, r, keep_x=False)
 

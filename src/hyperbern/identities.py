@@ -419,7 +419,8 @@ def check_kamano(N: int, r: int, n: int) -> VerifyReport:
     params = _require("kamano", N, r, n)
     # the numbers as constant polynomials, so the convolution runs on integers
     # and the closed form is the polynomial one taken at x = 0
-    polys = [UniPoly((v,)) for v in _table("hb_numbers", N, n).values]
+    values = _table("hb_numbers", N, n).values
+    polys = [UniPoly.from_integers((v.numerator,), v.denominator) for v in values]
     rhs = _closed_form(N, r, n, _table("a_poly_at_zero", N, r).entries, polys)
     # the one point (0, ..., 0), as an integer row
     row = (0,) * (r - 1), range(1)

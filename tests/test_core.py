@@ -480,7 +480,8 @@ def monomials(entry):
 
 @pytest.mark.parametrize("level", range(1, 5))
 def test_a_tables_match_sympy_expansion(level):
-    # both tables against sympy's expansion of their recurrence
+    # both tables, through order 9, against sympy's expansion of the paper's
+    # recurrence, which shifts s at every step where _a_table shifts once
     sympy = pytest.importorskip("sympy")
     x, s = sympy.symbols("x s")
 
@@ -488,11 +489,28 @@ def test_a_tables_match_sympy_expansion(level):
         terms = sympy.Poly(expr, x, s).as_dict()
         return {k: Fraction(int(c.p), int(c.q)) for k, c in terms.items() if c}
 
-    for order, (full, free) in zip(range(1, 7), a_tables_sympy(level)):
+    for order, (full, free) in zip(range(1, 10), a_tables_sympy(level)):
         for built, want in ((a_poly(level, order), full), (a_poly_at_zero(level, order), free)):
             assert len(built.entries) == order
             for entry, expr in zip(built.entries, want):
                 assert monomials(entry) == expected(expr)
+
+
+@pytest.mark.parametrize("build", (a_poly, a_poly_at_zero))
+def test_a_tables_shift_each_entry_once(monkeypatch, build):
+    # the recurrence runs shift-free: entry i is shifted once, by i - (r-1)N
+    calls = []
+
+    def counted(a, offset):
+        calls.append(offset)
+        return algebra.bipoly_shift_s(a, offset)
+
+    monkeypatch.setattr(core, "bipoly_shift_s", counted)
+    for level in (1, 2, 3):
+        for order in range(1, 9):
+            calls.clear()
+            build(level, order)
+            assert calls == [i - (order - 1) * level for i in range(order)]
 
 
 def test_a_poly_at_zero_two_fold_second_entry_is_one():

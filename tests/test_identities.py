@@ -1507,6 +1507,9 @@ _ROUTE_BREAKS = {
         {"appell", "ode", "recurrence"},
     ),
     "_derivatives": (lambda chain, p: _bump_first_derivative(chain), {"appell", "ode"}),
+    # each A-coefficient entry's one shift back from the shift-free variable:
+    # row 0 (the x^0 coefficient) of every shifted entry raised by 1
+    "bipoly_shift_s": (lambda b, a, offset: BiPoly(_bump(b.rows, 0, _ONE)), {"kamano", "sums"}),
     # each closed-form entry A_r(i, x; s) at the cell's s, raised by 1
     "bipoly_subst_s": (lambda p, a, sval: p + _ONE, {"kamano", "sums"}),
     # the multinomial walk's only convolution, of a prefix's leading run with
